@@ -6,6 +6,8 @@ decomposition then writes that (doubly sub-stochastic) matrix as a convex
 combination of 0/1 assignment matrices: the matrix is padded to a square
 doubly stochastic one with slack blocks, perfect matchings are peeled off
 one at a time, and the slack part of each matching is stripped away.
+A row or column that overshoots 1 by no more than the solvers'
+verification tolerance is scaled back to 1 first.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .constraints import lift_to_allocation_rows
 from .errors import Infeasible, NumericalResidual
+from .fpt import VERIFY_TOL
 from .lp import solve_feasibility
 from .model import AuditGame
 
@@ -127,10 +130,18 @@ def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
     if np.any(m < -RESIDUAL_TOL):
         raise NumericalResidual("allocation matrix has negative entries")
     k, n = m.shape
-    if np.any(m.sum(axis=1) > 1 + RESIDUAL_TOL) or np.any(m.sum(axis=0) > 1 + RESIDUAL_TOL):
-        raise NumericalResidual("allocation matrix is not sub-stochastic")
+    overshoot = max(m.sum(axis=1).max(), m.sum(axis=0).max()) - 1.0
+    if overshoot > VERIFY_TOL:
+        raise NumericalResidual(
+            f"allocation matrix is not sub-stochastic: a line sums to "
+            f"1 + {overshoot:.1e}")
+    # coverage the solvers' verification accepts may overshoot 1 by up to
+    # VERIFY_TOL; scale such lines back to 1 and decompose that matrix
+    m = np.clip(m, 0.0, 1.0)
+    m = m / np.maximum(m.sum(axis=1, keepdims=True), 1.0)
+    m = m / np.maximum(m.sum(axis=0, keepdims=True), 1.0)
 
-    d = _pad_doubly_stochastic(np.clip(m, 0.0, 1.0))
+    d = _pad_doubly_stochastic(m)
     size = k + n
     collected = {}
     remaining = 1.0

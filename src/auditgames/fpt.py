@@ -1,11 +1,16 @@
-"""Punishment-grid solver: one LP per (best-response target, grid x).
+"""Punishment-grid solver: the best program over every (best-response
+target, grid x) pair.
 
 For a fixed punishment rate x each best-response program is a linear
 program, in either the allocation-variable ("grid") formulation or the
 coverage-variable ("transformed") formulation backed by the extracted
-constraint set.  The returned solution is the best over every target and
-every grid value; the objective is the full defender utility including
-the constant term of the assumed attacked target.
+constraint set.  The transformed programs are answered in closed form,
+one target at a time over the whole grid (``_ProgramCache.closed_form``);
+pairs outside the closed form's reach (lenient instances with
+``x + delta <= 0``) and every grid program go to the dense-simplex LP,
+which also stays the test oracle.  The returned solution is the best over
+every target and every grid value; the objective is the full defender
+utility including the constant term of the assumed attacked target.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ from .errors import (
     EnumerationCapExceeded,
     VerificationFailed,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import FEAS_TOL, LinearProgram, solve_lp
 from .model import AuditGame, compute_deltas
 
 VERIFY_TOL = 1e-7
+# Largest (x, C row, prefix) block the closed form holds at once.
+_CLOSED_FORM_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,14 +83,14 @@ def full_objective(game: AuditGame, star: int, p_star: float, x: float,
     return ud_u + p_star * ((ud_a - ud_u) - a1 * x) - game.cost_a * x
 
 
-def infeasibility_screen(game: AuditGame, deltas, star: int, x: float) -> bool:
-    """True when the program is provably infeasible: some other target pays
-    the attacker more when fully covered than star ever can."""
+def infeasibility_screen(game: AuditGame, star: int, xs) -> np.ndarray:
+    """True at each x in ``xs`` where the program is provably infeasible:
+    some other target pays the attacker more when fully covered than star
+    ever can."""
     u = np.asarray(game.utilities)
-    ua_a = u[:, 2]
-    ua_u_star = u[star, 3]
-    others = np.delete(ua_a, star)
-    return others.size > 0 and float(others.max()) - x > ua_u_star + 1e-9
+    others = np.delete(u[:, 2], star)
+    return (others.max(initial=-np.inf) - np.asarray(xs, dtype=float)
+            > u[star, 3] + 1e-9)
 
 
 class _ProgramCache:
@@ -121,6 +128,26 @@ class _ProgramCache:
         self._br_cache_star = None
         self._br_base = None
         self._br_xcoef = None
+        if cset is not None:
+            self._closed_form_rows(cset)
+
+    def _closed_form_rows(self, cset):
+        """C rows for the closed form: 0/1 matrix, bounds, and each row's
+        targets in breakpoint order (descending ua_unaudited) after a
+        leading empty prefix, padded with the zero column ``n``."""
+        n = self.game.n_targets
+        rows = [c.target_indices for c in cset.constraints]
+        self.c_matrix = np.zeros((len(rows), n))
+        for r, targets in enumerate(rows):
+            self.c_matrix[r, list(targets)] = 1.0
+        self.c_bound = np.array([float(c.bound) for c in cset.constraints])
+        order = np.argsort(-np.asarray(self.game.utilities)[:, 3],
+                           kind="stable")
+        width = 1 + max((len(t) for t in rows), default=0)
+        self.c_members = np.full((len(rows), width), n)
+        for r in range(len(rows)):
+            ranked = order[self.c_matrix[r, order] > 0]
+            self.c_members[r, 1:1 + ranked.size] = ranked
 
     def transformed_bounds(self):
         return [
@@ -202,6 +229,71 @@ class _ProgramCache:
         return LinearProgram(
             obj, (mat, ["<="] * mat.shape[0], allrhs), bounds)
 
+    def closed_form(self, star: int, xs):
+        """The transformed programs of target ``star`` at every x in ``xs``.
+
+        Returns (applies, feasible, p), one entry per x; ``applies`` is
+        False where the closed form does not reach, and the LP must decide
+        those pairs.  It reaches where s = x + delta[star] > 0 and
+        x + delta[i] > 0 for every auditable i != star.  There best-response
+        row i asks for p_i >= r_i(p_star) = max(0, (s p_star
+        + delta_pair[i, star]) / (x + delta[i])), and C is down-closed, so
+        p_star is feasible iff r(p_star) lies in C, the box, and the pinned
+        rows.  Each C row sum over r is convex, nondecreasing and piecewise
+        linear in p_star, so it is the max of its linear pieces; the pieces
+        are the prefixes of the row's targets in breakpoint order, and each
+        caps p_star at (bound - intercept) / slope.  The optimum takes the
+        largest feasible p_star when its objective coefficient is positive
+        and 0 otherwise, and returns p = r(p_star).
+        """
+        xs = np.asarray(xs, dtype=float)
+        step = max(1, _CLOSED_FORM_BLOCK // max(self.c_members.size, 1))
+        if xs.size > step:
+            parts = [self.closed_form(star, xs[lo:lo + step])
+                     for lo in range(0, xs.size, step)]
+            return tuple(np.concatenate(z) for z in zip(*parts))
+        game, d = self.game, self.deltas
+        pinned = np.asarray(game.unauditable, dtype=bool)
+        others = np.arange(game.n_targets) != star
+        free = others & ~pinned
+        s = xs + d.delta[star]
+        den = xs[:, None] + d.delta
+        applies = (s > 0) & np.all((den > 0) | ~free, axis=1)
+        s = s[applies, None]
+        den = np.where(free, den[applies], 1.0)
+        dp = d.delta_pair[:, star]
+        slope = np.where(free, s / den, 0.0)  # r_i = max(0, slope p + icpt)
+        icpt = np.where(free, dp / den, 0.0)
+        # r_i <= 1, and s p_star <= -delta_pair[i, star] for pinned i
+        caps = np.where(free, (den - dp) / s,
+                        np.where(pinned & others, -dp / s, np.inf))
+        top = np.minimum(0.0 if pinned[star] else 1.0, caps.min(axis=1))
+        zero = np.zeros((s.shape[0], 1))
+        row_slope = (np.cumsum(np.hstack([slope, zero])[:, self.c_members],
+                               axis=2) + self.c_matrix[:, star, None])
+        row_icpt = np.cumsum(np.hstack([icpt, zero])[:, self.c_members],
+                             axis=2)
+        with np.errstate(divide="ignore"):
+            row_caps = np.where(
+                row_slope > 0,
+                (self.c_bound[:, None] - row_icpt) / row_slope, np.inf)
+        p_max = np.minimum(top, row_caps.min(axis=(1, 2), initial=np.inf))
+        # feasible iff r(0) violates nothing by more than the LP tolerance
+        r0 = np.maximum(icpt, 0.0)
+        excess = np.maximum(
+            (r0 @ self.c_matrix.T - self.c_bound).max(axis=1, initial=0.0),
+            (r0 - 1.0).max(axis=1))
+        excess = np.maximum(excess, np.max(dp[pinned & others], initial=0.0))
+        coeff = d.delta_d[star] - game.cost_a1 * xs[applies]
+        p_star = np.where(coeff > 0, np.maximum(p_max, 0.0), 0.0)
+        p = np.clip(slope * p_star[:, None] + icpt, 0.0, 1.0)
+        p[:, star] = p_star
+        feasible = np.zeros(xs.size, dtype=bool)
+        feasible[applies] = excess <= FEAS_TOL
+        full = np.zeros((xs.size, game.n_targets))
+        full[applies] = p
+        return applies, feasible, full
+
     def coverage_from_solution(self, formulation: str, solution: np.ndarray):
         if formulation == "transformed":
             return np.clip(solution, 0.0, 1.0)
@@ -270,44 +362,106 @@ def verify_solution(game: AuditGame, star: int, p, x: float,
     residuals["grid_liftable"] = 0.0 if cx.liftable_to_grid(game, p) else 1.0
     worst = max(residuals.values())
     if worst > tol:
-        raise VerificationFailed(f"solution residuals {residuals}")
+        raise VerificationFailed(
+            f"solution for target {star} at x = {x:g} fails verification: "
+            f"residuals {residuals}")
     return residuals
+
+
+class _LpPairs:
+    """Answers each (star, x) program with one LP in ``formulation``;
+    ``counts`` holds the sweep's pair counters."""
+
+    def __init__(self, cache: _ProgramCache, formulation: str):
+        self.cache = cache
+        self.formulation = formulation
+        self.counts = dict.fromkeys(("solved", "screened", "lp_infeasible",
+                                     "closed_form", "lp_fallback"), 0)
+
+    def for_star(self, star: int, grid: list):
+        """Solver for one target: grid index -> coverage, or None."""
+        return lambda i: self.solve_lp(star, grid[i])
+
+    def solve_lp(self, star: int, x: float):
+        self.counts["lp_fallback"] += 1
+        out = solve_lp(self.cache.build(star, x, self.formulation))
+        if out.status != "optimal":
+            return None
+        return self.cache.coverage_from_solution(self.formulation,
+                                                 out.solution)
+
+
+class _ClosedFormPairs(_LpPairs):
+    """Answers transformed programs in closed form, one target over the
+    whole grid at once; the LP takes the pairs the closed form does not
+    reach."""
+
+    def for_star(self, star: int, grid: list):
+        applies, feasible, p = self.cache.closed_form(star, grid)
+
+        def solve(i):
+            if not applies[i]:
+                return self.solve_lp(star, grid[i])
+            self.counts["closed_form"] += 1
+            return p[i] if feasible[i] else None
+        return solve
+
+
+def _sweep(game: AuditGame, cfg: SolveConfig, grid: list, pairs: _LpPairs):
+    """Walk every (star, x) pair, each target from x = 1 downward.
+
+    Yields (star, x, p), with p None for screened, infeasible and cut
+    pairs.  Feasibility is monotone in the punishment rate, so with
+    screening on the first infeasible grid point settles all smaller ones.
+    """
+    counts = pairs.counts
+    for star in range(game.n_targets):
+        solve = pairs.for_star(star, grid)
+        screened = infeasibility_screen(game, star, grid)
+        cut = False
+        for i in reversed(range(len(grid))):
+            x = grid[i]
+            p = None
+            if cut:
+                pass
+            elif cfg.screen and screened[i]:
+                counts["screened"] += 1
+            else:
+                p = solve(i)
+                if p is None:
+                    counts["lp_infeasible"] += 1
+                    cut = cfg.screen
+                else:
+                    counts["solved"] += 1
+            yield star, x, p
 
 
 def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolution:
     """Best solution over every target and every grid punishment value.
 
     Infeasible (target, x) pairs are expected and skipped; ties break
-    toward smaller x, then smaller target index.
+    toward smaller x, then smaller target index.  ``details`` counts the
+    pairs solved, screened and infeasible (``lp_infeasible``), and the
+    pairs answered in closed form and by an LP (``lp_fallback``).
     """
     cfg = cfg or SolveConfig()
     formulation, cset, info = resolve_formulation(game, cfg)
     cache = _ProgramCache(game, cset)
     grid = x_grid(cfg.epsilon)
+    pairs = (_ClosedFormPairs if formulation == "transformed"
+             else _LpPairs)(cache, formulation)
+    a1 = game.cost_a1 if cfg.a1_enabled else 0.0
     best = None
-    counts = {"solved": 0, "screened": 0, "lp_infeasible": 0}
-    for star in range(game.n_targets):
-        # walk x downward: feasibility is monotone in the punishment rate,
-        # so the first infeasible grid point settles all smaller ones
-        for x in reversed(grid):
-            if cfg.screen and infeasibility_screen(game, cache.deltas, star, x):
-                counts["screened"] += 1
-                continue
-            out = solve_lp(cache.build(star, x, formulation))
-            if out.status != "optimal":
-                counts["lp_infeasible"] += 1
-                if cfg.screen:
-                    break
-                continue
-            counts["solved"] += 1
-            p = cache.coverage_from_solution(formulation, out.solution)
-            a1 = game.cost_a1 if cfg.a1_enabled else 0.0
-            obj = full_objective(game, star, float(p[star]), x, a1=a1)
-            key = (obj, -x, -star)
-            if best is None or key > best[0]:
-                best = (key, p, x, star)
+    for star, x, p in _sweep(game, cfg, grid, pairs):
+        if p is None:
+            continue
+        key = (full_objective(game, star, float(p[star]), x, a1=a1), -x, -star)
+        if best is None or key > best[0]:
+            best = (key, p, x, star)
     if best is None:
-        raise AllProgramsInfeasible("no (target, x) pair admits a solution")
+        raise AllProgramsInfeasible(
+            f"no (target, x) pair admits a solution: {game.n_targets} "
+            f"targets, epsilon {cfg.epsilon:g}, {len(grid)} grid values")
     _, p, x, star = best
     delta_star = cache.deltas.delta[star]
     sol = CoverageSolution(
@@ -315,7 +469,7 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
         formulation=formulation, method="fpt",
         details={
             **info,
-            **counts,
+            **pairs.counts,
             "epsilon": cfg.epsilon,
             "grid_size": len(grid),
             "guarantee_condition_met": bool(
@@ -331,30 +485,16 @@ def per_pair_objectives(game: AuditGame, cfg: SolveConfig, formulation: str,
                         cset=None):
     """LP value for every (star, x) pair; None marks infeasible pairs.
 
-    Used by the formulation comparison; runs strictly serially.
+    Used by the formulation comparison, so both formulations run as LPs;
+    runs strictly serially.
     """
-    cache = _ProgramCache(game, cset)
-    grid = x_grid(cfg.epsilon)
-    results = {}
-    for star in range(game.n_targets):
-        cut = False
-        for x in reversed(grid):
-            if cut or (cfg.screen and
-                       infeasibility_screen(game, cache.deltas, star, x)):
-                results[(star, x)] = None
-                continue
-            out = solve_lp(cache.build(star, x, formulation))
-            if out.status != "optimal":
-                results[(star, x)] = None
-                # feasibility is monotone in x: everything below is out too
-                if cfg.screen:
-                    cut = True
-                continue
-            p = cache.coverage_from_solution(formulation, out.solution)
-            a1 = game.cost_a1 if cfg.a1_enabled else 0.0
-            results[(star, x)] = full_objective(
-                game, star, float(p[star]), x, a1=a1)
-    return results
+    pairs = _LpPairs(_ProgramCache(game, cset), formulation)
+    a1 = game.cost_a1 if cfg.a1_enabled else 0.0
+    return {
+        (star, x): None if p is None
+        else full_objective(game, star, float(p[star]), x, a1=a1)
+        for star, x, p in _sweep(game, cfg, x_grid(cfg.epsilon), pairs)
+    }
 
 
 def compare_formulations(game: AuditGame, cfg: SolveConfig | None = None,

@@ -7,7 +7,7 @@ from auditgames.alloc import (
     bvn_decompose,
     recover_allocation,
 )
-from auditgames.errors import Infeasible
+from auditgames.errors import Infeasible, NumericalResidual
 from auditgames.lp import solve_feasibility
 from auditgames.model import validate_game
 
@@ -112,3 +112,20 @@ def test_end_to_end_marginals():
         am = recover_allocation(g, p)
         mix = bvn_decompose(am)
         assert np.abs(mix.column_marginals - p).max() <= 1e-9
+
+
+def test_overshoot_within_verification_tolerance_is_rescaled():
+    # solver coverage that passed verification may sum to 1 + a few 1e-9;
+    # one resource over six targets (a row) and two resources on one
+    # target (a column)
+    row = np.array([[0.2, 0.3, 0.1, 0.15, 0.25 + 5.5e-9, 0.0]])
+    col = np.array([[0.6, 0.1, 0.3], [0.4 + 5.5e-9, 0.2, 0.0]])
+    for m, rescaled in ((row, row / row.sum()),
+                        (col, col / np.array([1.0 + 5.5e-9, 1.0, 1.0]))):
+        mix = bvn_decompose(AllocationMatrix(m))
+        assert np.abs(mix.reconstruct() - rescaled).max() <= 1e-9
+        assert sum(mix.weights) == pytest.approx(1.0, abs=1e-9)
+    for m in (row + np.array([0, 0, 0, 0, 2e-7, 0]),
+              col + np.array([[0, 0, 0], [2e-7, 0, 0]])):
+        with pytest.raises(NumericalResidual, match="not sub-stochastic"):
+            bvn_decompose(AllocationMatrix(m))

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from auditgames import constraints as cx
-from auditgames.errors import AllProgramsInfeasible
+from auditgames import fpt
+from auditgames.cli import counterexample_game
+from auditgames.errors import AllProgramsInfeasible, VerificationFailed
 from auditgames.fpt import (
     SolveConfig,
+    _ClosedFormPairs,
+    _LpPairs,
+    _ProgramCache,
+    _sweep,
     build_program,
     compare_formulations,
     full_objective,
@@ -165,3 +171,89 @@ def test_all_programs_infeasible_unreachable_for_valid_games():
         g = rand_game(3, 1, density=0.4, seed=200 + seed)
         sol = solve_fpt(g, SolveConfig(epsilon=0.25))
         assert np.isfinite(sol.objective)
+
+
+def test_verification_failure_names_target_and_x():
+    g = rand_game(4, 2, seed=3)
+    with pytest.raises(VerificationFailed, match=r"target 2 at x = 0\.35"):
+        verify_solution(g, 2, [1.0, 1.0, 1.0, 1.0], 0.35)
+
+
+def test_all_programs_infeasible_names_grid(monkeypatch):
+    monkeypatch.setattr(fpt, "infeasibility_screen",
+                        lambda game, star, xs: np.ones(len(xs), dtype=bool))
+    with pytest.raises(AllProgramsInfeasible,
+                       match=r"4 targets, epsilon 0\.25, 5 grid values"):
+        solve_fpt(rand_game(4, 2, seed=3), SolveConfig(epsilon=0.25))
+
+
+def _oracle_games():
+    games = [rand_game(3 + seed % 5, 1 + seed % 2, density=density,
+                       seed=500 + seed)
+             for seed in range(12) for density in (0.0, 0.2, 0.4)]
+    # coverage-scaled punishment: the p_star coefficient turns negative
+    games += [validate_game(g.n_targets, g.n_resources, g.utilities,
+                            g.restrictions, cost_a=0.01, cost_a1=0.8)
+              for g in games[:9]]
+    # unauditable targets, including an unauditable attacked target
+    games.append(validate_game(
+        4, 2, rand_game(4, 2, seed=41).utilities,
+        [(0, 1), (1, 1), (0, 3), (1, 3), (1, 0)], cost_a=0.01))
+    # lenient: x + delta <= 0 at x = 0 sends those pairs to the LP
+    games.append(counterexample_game())
+    return games
+
+
+def test_closed_form_matches_lp_oracle():
+    grid = x_grid(0.05)
+    seen = {"unauditable": 0, "negative_coeff": 0, "fallback": 0,
+            "infeasible": 0}
+    for g in _oracle_games():
+        cache = _ProgramCache(g, cx.constraint_find(g, prune=True))
+        seen["unauditable"] += any(g.unauditable)
+        for star in range(g.n_targets):
+            applies, feasible, p = cache.closed_form(star, grid)
+            for i, x in enumerate(grid):
+                lp = cache.build(star, x, "transformed")
+                seen["negative_coeff"] += bool(lp.objective[star] < 0)
+                if not applies[i]:
+                    seen["fallback"] += 1
+                    continue
+                out = solve_lp(lp)
+                assert feasible[i] == (out.status == "optimal"), (star, x)
+                if not feasible[i]:
+                    seen["infeasible"] += 1
+                    continue
+                assert lp.objective @ p[i] == pytest.approx(
+                    out.objective_value, abs=1e-9)
+                mat, _, rhs = lp.constraints
+                assert np.all(mat @ p[i] <= rhs + 1e-9), (star, x)
+                lo, hi = np.array(lp.bounds).T
+                assert np.all(p[i] >= lo - 1e-9) and np.all(p[i] <= hi + 1e-9)
+        # the same through the sweep with screening off: every pair,
+        # fallback pairs included, agrees with the LP sweep
+        cfg = SolveConfig(epsilon=0.05, screen=False)
+        closed_pairs = _ClosedFormPairs(cache, "transformed")
+        lp_pairs = _LpPairs(cache, "transformed")
+        closed = list(_sweep(g, cfg, grid, closed_pairs))
+        oracle = list(_sweep(g, cfg, grid, lp_pairs))
+        for (star, x, p), (_, _, q) in zip(closed, oracle):
+            assert (p is None) == (q is None), (star, x)
+            if p is not None:
+                assert full_objective(g, star, p[star], x) == pytest.approx(
+                    full_objective(g, star, q[star], x), abs=1e-9)
+        counts = closed_pairs.counts
+        assert counts["closed_form"] + counts["lp_fallback"] == len(closed)
+        assert counts["lp_infeasible"] == lp_pairs.counts["lp_infeasible"]
+    assert min(seen.values()) > 0, seen
+
+
+def test_closed_form_blocks_agree(monkeypatch):
+    g = rand_game(6, 2, density=0.2, seed=17)
+    cache = _ProgramCache(g, cx.constraint_find(g, prune=True))
+    grid = x_grid(0.05)
+    whole = [cache.closed_form(star, grid) for star in range(g.n_targets)]
+    monkeypatch.setattr(fpt, "_CLOSED_FORM_BLOCK", 1)
+    for star, expected in enumerate(whole):
+        for got, want in zip(cache.closed_form(star, grid), expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
