@@ -7,8 +7,9 @@ works on ``max c.y  s.t.  A y <= b, y >= 0``.  Pricing is Dantzig with a
 permanent switch to Bland's rule after a run of degenerate pivots; all
 ties break toward the lowest index so results are deterministic.
 
-The hot loop keeps one Fortran-ordered tableau (rows + objective row +
-rhs column) and applies each pivot as a single BLAS rank-1 update.
+The hot loop keeps one row-major tableau (rows + objective row + rhs
+column) and applies each pivot as one BLAS rank-1 update, restricted to
+the rows the pivot column touches when those are few.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .errors import NumericalBreakdown
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 IMPLIES_TOL = 1e-7
+# a pivot whose column touches fewer than this share of the tableau rows
+# updates a compacted copy of just those rows
+_SPARSE_PIVOT_SHARE = 0.25
 
 
 @dataclass
@@ -148,7 +152,7 @@ def standardize(lp: LinearProgram):
 
 
 def _simplex_loop(T, basis, m, width, obj_row, use_bland, max_iter):
-    """Run pivots until optimal/unbounded.  T is (m+1) x (width+1) Fortran.
+    """Run pivots until optimal/unbounded.  T is (m+1) x (width+1), C order.
 
     Returns (status, iterations, use_bland).  The objective row is
     T[obj_row, :width]; rhs is column ``width``.  Pricing is Dantzig
@@ -229,10 +233,18 @@ def _pivot(T, basis, row, col):
     T[row, :] /= piv
     colvec = T[:, col].copy()
     colvec[row] = 0.0
-    # T -= outer(colvec, T[row]) as one in-place BLAS rank-1 update
-    out = dger(-1.0, colvec, T[row, :].copy(), a=T, overwrite_a=1)
-    if out is not T:  # BLAS refused in-place; fall back to a copy-back
-        T[:, :] = out
+    prow = T[row, :].copy()
+    # T -= outer(colvec, prow) as an in-place BLAS rank-1 update of T's
+    # (Fortran-ordered) transpose; rows with a zero in colvec are unchanged
+    rows = np.flatnonzero(colvec)
+    if rows.size >= _SPARSE_PIVOT_SHARE * T.shape[0]:
+        full = T.T
+        out = dger(-1.0, prow, colvec, a=full, overwrite_a=1)
+        if out is not full:  # BLAS refused in-place; fall back to a copy-back
+            T[:, :] = out.T
+    elif rows.size:
+        sub = T[rows].T
+        T[rows] = dger(-1.0, prow, colvec[rows], a=sub, overwrite_a=1).T
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -269,7 +281,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     neg = b < 0
     n_art = int(neg.sum())
     width = ns + m + n_art
-    T = np.zeros((m + 1, width + 1), order="F")
+    T = np.zeros((m + 1, width + 1))
     T[:m, :ns] = A
     T[:m, width] = b
     # slacks: +1 normally; rows flipped for negative rhs carry a -1 slack
@@ -315,7 +327,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
                     raise NumericalBreakdown(
                         "cannot eliminate artificial from a dependent row")
                 _pivot(T, basis, i, int(cols[0]))
-        T = np.asfortranarray(T[:, list(range(ns + m)) + [width]])
+        T = np.ascontiguousarray(T[:, list(range(ns + m)) + [width]])
         width = ns + m
 
     # phase 2 objective row: reduced costs z_j - c_j for the true objective

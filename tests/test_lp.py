@@ -4,6 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from auditgames import lp as lp_module
+from auditgames.cli import BenchConfig, generate_instance
+from auditgames.errors import NumericalBreakdown
+from auditgames.fpt import _ProgramCache
 from auditgames.lp import (
     LinearProgram,
     implies,
@@ -189,3 +193,51 @@ def test_deterministic_repeat():
     o2 = solve_lp(lp(c, rows, [(0.0, 1.0)] * 3))
     assert np.array_equal(o1.solution, o2.solution)
     assert o1.iterations == o2.iterations
+
+
+def test_row_subset_pivot_matches_full_update(monkeypatch):
+    # grid programs (sparse pivot columns) and general random programs
+    # (equalities, phase 1, shifted and finite bounds) solved with every
+    # pivot as a row-subset update and with every pivot as a full update
+    game = generate_instance(BenchConfig(40, 20, 5, epsilon=0.1, seed=3,
+                                         repetitions=1))
+    cache = _ProgramCache(game, None)
+    programs = [cache.build(star, x, "grid")
+                for star in (0, 17) for x in (1.0, 0.5, 0.0)]
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        a = rng.normal(size=(m, n))
+        rels = [("<=", ">=", "=")[int(r)] for r in rng.integers(0, 3, m)]
+        lo = rng.uniform(-1.0, 0.0, n)
+        hi = np.where(rng.random(n) < 0.5, lo + rng.uniform(0.0, 2.0, n),
+                      INF)
+        # rows hold at a point inside the bounds, so most are feasible
+        y = lo + rng.uniform(0.0, 1.0, n) * np.minimum(hi - lo, 1.0)
+        slack = {"<=": 0.5, ">=": -0.5, "=": 0.0}
+        programs.append(lp(rng.normal(size=n),
+                           [(a[i], rels[i], float(a[i] @ y) + slack[rels[i]])
+                            for i in range(m)],
+                           list(zip(lo, hi))))
+
+    def solve(program):
+        try:
+            return solve_lp(program)
+        except NumericalBreakdown as exc:  # must break down the same way
+            return str(exc)
+
+    outcomes = {}
+    for share in (0.0, 1.01):
+        monkeypatch.setattr(lp_module, "_SPARSE_PIVOT_SHARE", share)
+        outcomes[share] = [solve(p) for p in programs]
+    for full, subset in zip(outcomes[0.0], outcomes[1.01]):
+        if isinstance(full, str) or isinstance(subset, str):
+            assert full == subset
+            continue
+        assert full.status == subset.status
+        assert full.iterations == subset.iterations
+        for got, want in ((subset.solution, full.solution),
+                          (subset.duals, full.duals)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want)
