@@ -1,7 +1,9 @@
 """Lifting coverage marginals to allocations and mixing into pure audits.
 
 ``recover_allocation`` solves the linear feasibility problem that turns a
-coverage vector into a resource-by-target probability matrix.  The
+coverage vector into a resource-by-target probability matrix: one LP over
+the sparse rows of ``constraints.lift_to_allocation_rows``, solved to the
+LP module's 1e-9 feasibility tolerance.  The
 decomposition then writes that (doubly sub-stochastic) matrix as a convex
 combination of 0/1 assignment matrices: the matrix is padded to a square
 doubly stochastic one with slack blocks, perfect matchings are peeled off

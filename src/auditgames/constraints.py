@@ -345,28 +345,41 @@ def tractability_check(
     )
 
 
+def allowed_pairs(game: AuditGame) -> np.ndarray:
+    """k x n boolean matrix, False where resource j may not audit target i."""
+    allowed = np.ones((game.n_resources, game.n_targets), dtype=bool)
+    for j, i in game.restrictions:
+        allowed[j, i] = False
+    return allowed
+
+
+def allocation_matrix(game: AuditGame):
+    """Sparse (n + k) x k*n 0/1 matrix over the allocation entries
+    (resource-major): row i sums target i's coverage, row n + j sums
+    resource j's budget."""
+    from scipy import sparse
+
+    n, k = game.n_targets, game.n_resources
+    var = np.arange(n * k)
+    return sparse.csr_array(
+        (np.ones(2 * var.size),
+         (np.concatenate([var % n, n + var // n]), np.tile(var, 2))),
+        shape=(n + k, var.size))
+
+
 def lift_to_allocation_rows(game: AuditGame, p):
     """LP rows/bounds for the allocation-feasibility system at marginals p.
 
     Variables are the k*n allocation entries (resource-major); restricted
-    pairs are fixed to zero through their bounds.
+    pairs are fixed to zero through their bounds.  The rows are one sparse
+    (matrix, rels, rhs) triple: each target's coverage equals p, then each
+    resource's budget is at most 1.
     """
     n, k = game.n_targets, game.n_resources
-    nv = k * n
-    rows = []
-    for i in range(n):
-        a = np.zeros(nv)
-        a[i::n] = 1.0
-        rows.append((a, "=", float(p[i])))
-    for j in range(k):
-        a = np.zeros(nv)
-        a[j * n:(j + 1) * n] = 1.0
-        rows.append((a, "<=", 1.0))
-    bounds = [
-        (0.0, 0.0) if (j, i) in game.restrictions else (0.0, 1.0)
-        for j in range(k) for i in range(n)
-    ]
-    return rows, bounds
+    rhs = np.concatenate([np.asarray(p, dtype=float), np.ones(k)])
+    bounds = np.column_stack([np.zeros(n * k),
+                              allowed_pairs(game).ravel().astype(float)])
+    return (allocation_matrix(game), ["="] * n + ["<="] * k, rhs), bounds
 
 
 def liftable_to_grid(game: AuditGame, p, tol: float = IMPLIES_TOL) -> bool:

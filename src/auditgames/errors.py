@@ -54,7 +54,7 @@ class NearSingularity(AuditGamesError):
 # --- lp ------------------------------------------------------------------
 
 class NumericalBreakdown(InternalError):
-    """No acceptable pivot remained (all candidates below tolerance)."""
+    """HiGHS ended without an optimum, infeasibility or unboundedness."""
 
 
 # --- constraints ---------------------------------------------------------

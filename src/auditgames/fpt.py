@@ -7,10 +7,11 @@ coverage-variable ("transformed") formulation backed by the extracted
 constraint set.  The transformed programs are answered in closed form,
 one target at a time over the whole grid (``_ProgramCache.closed_form``);
 pairs outside the closed form's reach (lenient instances with
-``x + delta <= 0``) and every grid program go to the dense-simplex LP,
-which also stays the test oracle.  The returned solution is the best over
-every target and every grid value; the objective is the full defender
-utility including the constant term of the assumed attacked target.
+``x + delta <= 0``) and every grid program go to the HiGHS LP, over
+sparse rows for the grid, which also stays the test oracle.  The returned
+solution is the best over every target and every grid value; the
+objective is the full defender utility including the constant term of the
+assumed attacked target.
 """
 
 from __future__ import annotations
@@ -96,38 +97,20 @@ def infeasibility_screen(game: AuditGame, star: int, xs) -> np.ndarray:
 class _ProgramCache:
     """Per-game static LP pieces reused across the (star, x) loop.
 
-    The solver loops work on a reduced grid formulation with restricted
-    allocation variables dropped; the public program builder exposes the
-    full n*k-variable form.
+    The grid programs carry one allocation variable per allowed
+    (resource, target) pair, resource-major; restricted pairs are dropped.
+    Their sparse rows are built on the first grid program of each target.
     """
 
     def __init__(self, game: AuditGame, cset=None):
         self.game = game
         self.deltas = compute_deltas(game)
         self.cset = cset
-        n, k = game.n_targets, game.n_resources
-        nv = n * k
-        self.grid_bounds = [
-            (0.0, 0.0) if (j, i) in game.restrictions else (0.0, math.inf)
-            for j in range(k) for i in range(n)
-        ]
-        self.allowed = np.array(
-            [bounds[1] != 0.0 for bounds in self.grid_bounds])
-        self.allowed_idx = np.flatnonzero(self.allowed)
-        # column index of each reduced variable's target
-        self.reduced_target = self.allowed_idx % n
-        static = np.zeros((n + k, nv))
-        for i in range(n):
-            static[i, i::n] = 1.0  # coverage of target i <= 1
-        for j in range(k):
-            static[n + j, j * n:(j + 1) * n] = 1.0  # resource budget
-        self.grid_static = static
-        self.grid_static_rhs = np.ones(n + k)
-        self.grid_static_reduced = np.ascontiguousarray(
-            static[:, self.allowed_idx])
-        self._br_cache_star = None
-        self._br_base = None
-        self._br_xcoef = None
+        self.allowed_idx = np.flatnonzero(cx.allowed_pairs(game))
+        # target of each grid variable
+        self.grid_target = self.allowed_idx % game.n_targets
+        self._grid_star = None
+        self._grid_rows = None
         if cset is not None:
             self._closed_form_rows(cset)
 
@@ -167,67 +150,55 @@ class _ProgramCache:
             rhs[r] = -d.delta_pair[i, star]
         return mat, rhs
 
-    def _grid_br_parts(self, star: int):
-        """Reduced-column best-response row pieces: rows = base + x * xcoef."""
-        if self._br_cache_star == star:
-            return self._br_base, self._br_xcoef
-        game, d = self.game, self.deltas
-        n = game.n_targets
-        others = [i for i in range(n) if i != star]
-        nr = self.allowed_idx.size
-        base = np.zeros((len(others), nr))
-        xcoef = np.zeros((len(others), nr))
-        star_cols = self.reduced_target == star
-        for r, i in enumerate(others):
-            cols = self.reduced_target == i
-            base[r, star_cols] = d.delta[star]
-            base[r, cols] = -d.delta[i]
-            xcoef[r, star_cols] = 1.0
-            xcoef[r, cols] = -1.0
-        self._br_cache_star = star
-        self._br_base, self._br_xcoef = base, xcoef
-        return base, xcoef
-
-    def build(self, star: int, x: float, formulation: str,
-              reduced: bool = True) -> LinearProgram:
+    def grid_rows(self, star: int):
+        """COO pieces of target ``star``'s grid rows: coverage of each
+        target <= 1, each resource's budget <= 1, then one best-response
+        row per other target.  Returns (rows, cols, base, xcoef, rhs); the
+        entries at punishment rate x are base + x * xcoef."""
+        if self._grid_star == star:
+            return self._grid_rows
         game, d = self.game, self.deltas
         n, k = game.n_targets, game.n_resources
-        a1 = game.cost_a1
-        p_star_coeff = d.delta_d[star] - a1 * x
+        static = cx.allocation_matrix(game)[:, self.allowed_idx].tocoo()
+        target = self.grid_target
+        var = np.arange(target.size)
+        others = np.delete(np.arange(n), star)
+        br_row = np.zeros(n, dtype=int)
+        br_row[others] = n + k + np.arange(n - 1)
+        star_vars, rest = var[target == star], var[target != star]
+        n_star = (n - 1) * star_vars.size
+        rows = np.concatenate([static.row, np.repeat(br_row[others],
+                                                     star_vars.size),
+                               br_row[target[rest]]])
+        cols = np.concatenate([static.col, np.tile(star_vars, n - 1), rest])
+        base = np.concatenate([static.data, np.full(n_star, d.delta[star]),
+                               -d.delta[target[rest]]])
+        xcoef = np.concatenate([np.zeros(static.nnz), np.ones(n_star),
+                                -np.ones(rest.size)])
+        rhs = np.concatenate([np.ones(n + k), -d.delta_pair[others, star]])
+        self._grid_star = star
+        self._grid_rows = rows, cols, base, xcoef, rhs
+        return self._grid_rows
+
+    def build(self, star: int, x: float, formulation: str) -> LinearProgram:
+        p_star_coeff = self.deltas.delta_d[star] - self.game.cost_a1 * x
         if formulation == "transformed":
-            mat_br, rhs_br = self.br_rows_transformed(star, x)
-            rows = [mat_br]
-            rhs = [rhs_br]
-            if self.cset.constraints:
-                rows.append(np.vstack([
-                    c.coeff_row(n) for c in self.cset.constraints]))
-                rhs.append(np.array([float(c.bound)
-                                     for c in self.cset.constraints]))
-            mat = np.vstack(rows)
-            allrhs = np.concatenate(rhs)
-            obj = np.zeros(n)
+            mat, rhs = self.br_rows_transformed(star, x)
+            mat = np.vstack([mat, self.c_matrix])
+            rhs = np.concatenate([rhs, self.c_bound])
+            obj = np.zeros(self.game.n_targets)
             obj[star] = p_star_coeff
-            return LinearProgram(
-                obj, (mat, ["<="] * mat.shape[0], allrhs),
-                self.transformed_bounds())
-        base, xcoef = self._grid_br_parts(star)
-        br_rhs = np.array([-d.delta_pair[i, star]
-                           for i in range(n) if i != star])
-        allrhs = np.concatenate([self.grid_static_rhs, br_rhs])
-        if reduced:
-            mat = np.vstack([self.grid_static_reduced, base + x * xcoef])
-            obj = np.where(self.reduced_target == star, p_star_coeff, 0.0)
-            bounds = [(0.0, math.inf)] * self.allowed_idx.size
-        else:
-            nv = n * k
-            mat = np.zeros((allrhs.size, nv))
-            mat[:n + k] = self.grid_static
-            mat[n + k:, self.allowed_idx] = base + x * xcoef
-            obj = np.zeros(nv)
-            obj[star::n] = p_star_coeff
-            bounds = self.grid_bounds
-        return LinearProgram(
-            obj, (mat, ["<="] * mat.shape[0], allrhs), bounds)
+            return LinearProgram(obj, (mat, ["<="] * rhs.size, rhs),
+                                 self.transformed_bounds())
+        from scipy import sparse
+
+        rows, cols, base, xcoef, rhs = self.grid_rows(star)
+        nv = self.allowed_idx.size
+        mat = sparse.csr_array((base + x * xcoef, (rows, cols)),
+                               shape=(rhs.size, nv))
+        obj = np.where(self.grid_target == star, p_star_coeff, 0.0)
+        return LinearProgram(obj, (mat, ["<="] * rhs.size, rhs),
+                             np.tile([0.0, math.inf], (nv, 1)))
 
     def closed_form(self, star: int, xs):
         """The transformed programs of target ``star`` at every x in ``xs``.
@@ -297,26 +268,9 @@ class _ProgramCache:
     def coverage_from_solution(self, formulation: str, solution: np.ndarray):
         if formulation == "transformed":
             return np.clip(solution, 0.0, 1.0)
-        n, k = self.game.n_targets, self.game.n_resources
-        if solution.size == self.allowed_idx.size:
-            p = np.zeros(n)
-            np.add.at(p, self.reduced_target, solution)
-            return np.clip(p, 0.0, 1.0)
-        return np.clip(solution.reshape(k, n).sum(axis=0), 0.0, 1.0)
-
-
-def build_program(game: AuditGame, star: int, x: float, formulation: str,
-                  cset=None) -> LinearProgram:
-    """One best-response LP with the punishment rate held constant.
-
-    The grid form carries the full n*k allocation variables (restricted
-    pairs are fixed through their bounds); the solver loops internally use
-    an equivalent reduced form with those columns dropped.
-    """
-    if formulation == "transformed" and cset is None:
-        cset = cx.constraint_find(game, prune=True)
-    cache = _ProgramCache(game, cset)
-    return cache.build(star, x, formulation, reduced=False)
+        p = np.zeros(self.game.n_targets)
+        np.add.at(p, self.grid_target, solution)
+        return np.clip(p, 0.0, 1.0)
 
 
 def resolve_formulation(game: AuditGame, cfg: SolveConfig):

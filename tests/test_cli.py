@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import auditgames
 from auditgames.cli import (
     BenchConfig,
     COUNTEREXAMPLE_ROWS,
@@ -162,3 +167,16 @@ def test_cli_reports_deterministic(tmp_path):
     run(["solve", "--in", str(game_path), "--method", "fptas", "--out", str(r1)])
     run(["solve", "--in", str(game_path), "--method", "fptas", "--out", str(r2)])
     assert r1.read_text() == r2.read_text()
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy.optimize and scipy.linalg load on the first LP, not on import
+    src = str(Path(auditgames.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, auditgames.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

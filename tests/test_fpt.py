@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,14 @@ from auditgames.fpt import (
     _LpPairs,
     _ProgramCache,
     _sweep,
-    build_program,
     compare_formulations,
     full_objective,
     solve_fpt,
     verify_solution,
     x_grid,
 )
-from auditgames.lp import solve_lp
-from auditgames.model import validate_game
+from auditgames.lp import LinearProgram, solve_lp
+from auditgames.model import compute_deltas, validate_game
 
 from helpers import rand_game
 
@@ -38,38 +39,36 @@ def test_config_validation():
         SolveConfig(formulation="simplex")
 
 
-def test_build_program_transformed_structure():
-    g = validate_game(2, 1, [(0.6, 0.5, 0.2, 0.3), (0.7, 0.0, 0.8, 0.9)],
-                      cost_a=0.01)
-    cset = cx.constraint_find(g)
-    lp = build_program(g, 1, 0.0, "transformed", cset)
-    assert lp.objective.size == 2
-    rows = list(lp.iter_rows())
-    assert len(rows) == 2  # one best-response row + one coverage constraint
-    assert all(rel == "<=" for _, rel, _ in rows)
-    assert lp.bounds == [(0.0, 1.0)] * 2
-
-
-def test_build_program_grid_variable_count():
-    g = rand_game(4, 2, density=0.3, seed=5)
-    lp = build_program(g, 0, 0.25, "grid")
-    assert lp.objective.size == g.n_targets * g.n_resources
-    fixed = sum(1 for lo, hi in lp.bounds if hi == 0.0)
-    assert fixed == len(g.restrictions)
+def full_grid_program(g, star, x):
+    """The grid program over all n*k allocation variables (resource-major),
+    restricted pairs fixed to zero through their bounds."""
+    d = compute_deltas(g)
+    n, k = g.n_targets, g.n_resources
+    coverage = np.tile(np.eye(n), k)
+    budget = np.kron(np.eye(k), np.ones(n))
+    others = [i for i in range(n) if i != star]
+    br = np.array([(x + d.delta[star]) * coverage[star]
+                   - (x + d.delta[i]) * coverage[i] for i in others])
+    mat = np.vstack([coverage, budget, br])
+    rhs = np.concatenate([np.ones(n + k),
+                          [-d.delta_pair[i, star] for i in others]])
+    obj = (d.delta_d[star] - g.cost_a1 * x) * coverage[star]
+    bounds = [(0.0, 0.0) if (j, i) in g.restrictions else (0.0, math.inf)
+              for j in range(k) for i in range(n)]
+    return LinearProgram(obj, (mat, ["<="] * rhs.size, rhs), bounds)
 
 
 def test_reduced_and_full_grid_programs_agree():
-    from auditgames.fpt import _ProgramCache
     g = rand_game(5, 2, density=0.3, seed=123)
     cache = _ProgramCache(g, None)
     for star, x in ((0, 0.3), (2, 0.7), (4, 0.0)):
-        full = solve_lp(cache.build(star, x, "grid", reduced=False))
-        red = solve_lp(cache.build(star, x, "grid", reduced=True))
+        full = solve_lp(full_grid_program(g, star, x))
+        red = solve_lp(cache.build(star, x, "grid"))
         assert full.status == red.status
         if full.status == "optimal":
             assert full.objective_value == pytest.approx(
                 red.objective_value, abs=1e-9)
-            p_full = cache.coverage_from_solution("grid", full.solution)
+            p_full = full.solution.reshape(g.n_resources, -1).sum(axis=0)
             p_red = cache.coverage_from_solution("grid", red.solution)
             assert p_full[star] == pytest.approx(p_red[star], abs=1e-9)
 

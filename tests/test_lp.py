@@ -1,20 +1,15 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy import sparse
 
 from auditgames import lp as lp_module
-from auditgames.cli import BenchConfig, generate_instance
 from auditgames.errors import NumericalBreakdown
-from auditgames.fpt import _ProgramCache
-from auditgames.lp import (
-    LinearProgram,
-    implies,
-    solve_feasibility,
-    solve_lp,
-    standardize,
-)
+from auditgames.lp import LinearProgram, implies, solve_feasibility, solve_lp
 
 INF = math.inf
 
@@ -124,24 +119,23 @@ def test_matches_vertex_enumeration():
 
 
 def test_dual_certificate():
+    # max c.x, A x <= b, 0 <= x <= 1 against its dual
+    # min b.u + 1.v, A^T u + v >= c, u, v >= 0, both through solve_lp
     rng = np.random.default_rng(8)
     for _ in range(25):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 5))
-        rows = [(rng.normal(size=n).round(2), "<=",
-                 float(rng.uniform(0.5, 2.0))) for _ in range(m)]
+        a = rng.normal(size=(m, n)).round(2)
+        b = rng.uniform(0.5, 2.0, m)
         c = rng.normal(size=n).round(2)
-        prog = lp(c, rows, [(0.0, 1.0)] * n)
-        out = solve_lp(prog)
-        if out.status != "optimal":
-            continue
-        c_std, a_std, b_std, free_idx, shift, fixed = standardize(prog)
-        u = out.duals
-        assert np.all(u >= -1e-7)
-        # dual feasibility: A^T u >= c componentwise (y >= 0 variables)
-        assert np.all(a_std.T @ u >= c_std - 1e-7)
-        # strong duality
-        assert b_std @ u == pytest.approx(out.objective_value, abs=1e-7)
+        primal = solve_lp(lp(c, (a, ["<="] * m, b), [(0.0, 1.0)] * n))
+        dual_rows = np.hstack([a.T, np.eye(n)])
+        dual = solve_lp(lp(-np.concatenate([b, np.ones(n)]),
+                           (dual_rows, [">="] * n, c), [(0.0, INF)] * (m + n)))
+        assert primal.status == dual.status == "optimal"
+        assert np.all(dual_rows @ dual.solution >= c - 1e-9)
+        assert -dual.objective_value == pytest.approx(
+            primal.objective_value, abs=1e-9)
 
 
 def test_beale_cycling_instance_terminates():
@@ -172,15 +166,23 @@ def test_shifted_lower_bounds():
     assert out.solution[0] == pytest.approx(-2.0)
 
 
-def test_matrix_form_matches_row_form():
+def test_matrix_form_matches_row_form(monkeypatch):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 4)).round(2)
     rhs = rng.uniform(0.5, 1.5, 3)
     c = rng.normal(size=4).round(2)
     rows = [(a[i], "<=", float(rhs[i])) for i in range(3)]
     o1 = solve_lp(lp(c, rows, [(0.0, 1.0)] * 4))
-    o2 = solve_lp(lp(c, (a, ["<="] * 3, rhs), [(0.0, 1.0)] * 4))
-    assert o1.objective_value == pytest.approx(o2.objective_value, abs=1e-12)
+    # the same rows with the middle one written as ">=", dense and sparse;
+    # with _DENSE_MAX 0 the sparse matrix reaches linprog as it is
+    sign = np.array([1.0, -1.0, 1.0])
+    rels = ["<=", ">=", "<="]
+    for dense_max in (lp_module._DENSE_MAX, 0):
+        monkeypatch.setattr(lp_module, "_DENSE_MAX", dense_max)
+        for mat in (sign[:, None] * a, sparse.csr_array(sign[:, None] * a)):
+            o2 = solve_lp(lp(c, (mat, rels, sign * rhs), [(0.0, 1.0)] * 4))
+            assert o1.objective_value == pytest.approx(o2.objective_value,
+                                                       abs=1e-12)
 
 
 def test_deterministic_repeat():
@@ -195,49 +197,19 @@ def test_deterministic_repeat():
     assert o1.iterations == o2.iterations
 
 
-def test_row_subset_pivot_matches_full_update(monkeypatch):
-    # grid programs (sparse pivot columns) and general random programs
-    # (equalities, phase 1, shifted and finite bounds) solved with every
-    # pivot as a row-subset update and with every pivot as a full update
-    game = generate_instance(BenchConfig(40, 20, 5, epsilon=0.1, seed=3,
-                                         repetitions=1))
-    cache = _ProgramCache(game, None)
-    programs = [cache.build(star, x, "grid")
-                for star in (0, 17) for x in (1.0, 0.5, 0.0)]
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        a = rng.normal(size=(m, n))
-        rels = [("<=", ">=", "=")[int(r)] for r in rng.integers(0, 3, m)]
-        lo = rng.uniform(-1.0, 0.0, n)
-        hi = np.where(rng.random(n) < 0.5, lo + rng.uniform(0.0, 2.0, n),
-                      INF)
-        # rows hold at a point inside the bounds, so most are feasible
-        y = lo + rng.uniform(0.0, 1.0, n) * np.minimum(hi - lo, 1.0)
-        slack = {"<=": 0.5, ">=": -0.5, "=": 0.0}
-        programs.append(lp(rng.normal(size=n),
-                           [(a[i], rels[i], float(a[i] @ y) + slack[rels[i]])
-                            for i in range(m)],
-                           list(zip(lo, hi))))
+def test_feasibility_tolerance_is_tight():
+    # HiGHS's default primal tolerance of 1e-7 would accept this row
+    out = solve_lp(lp([0.0], [(np.array([1.0]), ">=", 1.0 + 5e-8)],
+                      [(0.0, 1.0)]))
+    assert out.status == "infeasible"
 
-    def solve(program):
-        try:
-            return solve_lp(program)
-        except NumericalBreakdown as exc:  # must break down the same way
-            return str(exc)
 
-    outcomes = {}
-    for share in (0.0, 1.01):
-        monkeypatch.setattr(lp_module, "_SPARSE_PIVOT_SHARE", share)
-        outcomes[share] = [solve(p) for p in programs]
-    for full, subset in zip(outcomes[0.0], outcomes[1.01]):
-        if isinstance(full, str) or isinstance(subset, str):
-            assert full == subset
-            continue
-        assert full.status == subset.status
-        assert full.iterations == subset.iterations
-        for got, want in ((subset.solution, full.solution),
-                          (subset.duals, full.duals)):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got, want)
+def test_solver_failure_raises_breakdown(monkeypatch):
+    # any linprog status other than optimal, infeasible or unbounded
+    # (here 4: numerical difficulties, or HiGHS's "unbounded or
+    # infeasible") surfaces as NumericalBreakdown with the solver message
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs:
+                        SimpleNamespace(status=4, nit=3,
+                                        message="numerical difficulties"))
+    with pytest.raises(NumericalBreakdown, match="numerical difficulties"):
+        solve_lp(lp([1.0], [], [(0.0, 1.0)]))
