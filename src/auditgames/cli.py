@@ -156,7 +156,7 @@ def counterexample_curve(step: float = 0.005, star: int = COUNTEREXAMPLE_STAR):
     if step > 0.005 + 1e-15:
         raise UsageError("step must be at most 0.005")
     game = counterexample_game()
-    cset = cx.constraint_find(game, prune=True)
+    cset = cx.coverage_set(game)
     cache = _ProgramCache(game, cset)
     count = int(round(1.0 / step))
     points = []
@@ -326,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", metavar="PATH")
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--cap", type=int, default=cx.DEFAULT_SUBGRAPH_CAP,
-                       help="connected-subgraph enumeration cap")
+                       help="enumeration cap; solve takes C from the "
+                            "connected subgraphs or the 2^k resource subsets, "
+                            "whichever are fewer, so it bounds the smaller "
+                            "count (fpt falls back to the grid formulation "
+                            "past it); constraints caps the subgraphs")
         p.add_argument("--lenient", action="store_true",
                        help="accept instances that narrowly break the "
                             "attacker utility ordering")

@@ -7,13 +7,15 @@ Two extractors are provided — the naive enumeration over all resource
 subsets, and the target-side algorithm that merges equal-audit-set
 targets, builds their intersection graph, and walks its connected
 induced subgraphs.  Both define the same polytope; the equivalence
-oracle below checks that via pairwise LP implication.
+oracle below checks that via pairwise LP implication.  The solvers take
+C from :func:`coverage_set`, which runs the target-side algorithm while
+it enumerates no more than the 2^k resource subsets would, and the
+resource-side enumeration otherwise.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +49,8 @@ class ConstraintSet:
     constraints: tuple
     pinned: tuple = ()  # unauditable targets
     includes_box: bool = True
+    # the side coverage_set took: "subgraphs" or "resource_subsets"
+    extraction: str | None = None
 
     def lp_rows(self) -> list:
         rows = [(c.coeff_row(self.n_targets), "<=", float(c.bound))
@@ -173,34 +177,42 @@ def build_intersection_graph(merged: MergedTargets) -> IntersectionGraph:
 def enumerate_connected_subgraphs(graph, cap: int = DEFAULT_SUBGRAPH_CAP):
     """Yield every nonempty connected vertex subset exactly once.
 
-    Anchored expansion: a subset is grown only from its smallest vertex and
-    only by larger-indexed vertices, so each set appears once.  ``graph``
-    may be an :class:`IntersectionGraph` or a plain adjacency sequence.
-    Raises :class:`EnumerationCapExceeded` when the yield count would pass
-    ``cap``.
+    ESU extension-set walk (Wernicke, TCBB 2006): a subset is grown only
+    from its smallest vertex, and only by vertices in its extension set:
+    the candidates its parent left untried, plus the larger-indexed
+    neighbours of the new vertex that are not already adjacent to the
+    subset.  Each set is reached by exactly one path, so nothing visited
+    is remembered; an explicit stack holds one frame per vertex of the
+    current subset.  ``graph`` may be an :class:`IntersectionGraph` or a
+    plain adjacency sequence.  Raises :class:`EnumerationCapExceeded`
+    when the yield count would pass ``cap``.
     """
-    adjacency = graph.adjacency if hasattr(graph, "adjacency") else tuple(
-        frozenset(nbrs) for nbrs in graph)
+    adjacency = graph.adjacency if hasattr(graph, "adjacency") else graph
+    masks = [sum(1 << u for u in nbrs) for nbrs in adjacency]
     count = 0
-    for anchor in range(len(adjacency)):
-        start = frozenset((anchor,))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            subset = queue.popleft()
+    for anchor in range(len(masks)):
+        above = -1 << (anchor + 1)  # bits of the vertices after the anchor
+        subset = (anchor,)
+        extension = masks[anchor] & above
+        closed = (1 << anchor) | masks[anchor]  # subset and its neighbours
+        stack = []  # frames [subset, untried extension, closed]
+        while True:
             count += 1
             if count > cap:
                 raise EnumerationCapExceeded(cap, count - 1)
-            yield subset
-            frontier = set()
-            for v in subset:
-                frontier |= adjacency[v]
-            for w in sorted(frontier - subset):
-                if w > anchor:
-                    grown = subset | {w}
-                    if grown not in seen:
-                        seen.add(grown)
-                        queue.append(grown)
+            yield frozenset(subset)
+            stack.append([subset, extension, closed])
+            while stack and not stack[-1][1]:
+                stack.pop()
+            if not stack:
+                break
+            frame = stack[-1]
+            bit = frame[1] & -frame[1]
+            frame[1] ^= bit
+            w = bit.bit_length() - 1
+            subset = frame[0] + (w,)
+            extension = frame[1] | (masks[w] & ~frame[2] & above)
+            closed = frame[2] | masks[w]
 
 
 def constraint_find(
@@ -240,6 +252,30 @@ def constraint_find(
     return prune_implied(cset) if prune else cset
 
 
+def coverage_set(game: AuditGame,
+                 cap: int = DEFAULT_SUBGRAPH_CAP) -> ConstraintSet:
+    """The pruned C, extracted from whichever side enumerates less.
+
+    The target-side algorithm runs first.  When the 2^k resource subsets
+    are fewer than ``cap``, it is capped at 2^k instead, and if it would
+    enumerate more sets than that, the resource subsets are walked.  So
+    at most 2 * min(subgraph count, 2^k) sets are enumerated, and
+    :class:`EnumerationCapExceeded` is raised only when both counts
+    exceed ``cap``.  ``extraction`` on the result names the side used.
+    """
+    k = game.n_resources
+    if 2 ** k < cap:
+        try:
+            cset = constraint_find(game, cap=2 ** k, prune=True)
+        except EnumerationCapExceeded:
+            # resource_cap=k: the cap above already bounds the 2^k subsets
+            cset = extract_constraints_naive(game, resource_cap=k, prune=True)
+            return replace(cset, extraction="resource_subsets")
+    else:
+        cset = constraint_find(game, cap=cap, prune=True)
+    return replace(cset, extraction="subgraphs")
+
+
 def prune_implied(cset: ConstraintSet) -> ConstraintSet:
     """Drop constraints already implied by the rest of the set (LP test)."""
     kept = list(cset.constraints)
@@ -254,12 +290,7 @@ def prune_implied(cset: ConstraintSet) -> ConstraintSet:
             kept.pop(i)
         else:
             i += 1
-    return ConstraintSet(
-        n_targets=cset.n_targets,
-        constraints=tuple(kept),
-        pinned=cset.pinned,
-        includes_box=cset.includes_box,
-    )
+    return replace(cset, constraints=tuple(kept))
 
 
 def polytopes_equivalent(a: ConstraintSet, b: ConstraintSet, n: int) -> bool:

@@ -64,7 +64,14 @@ class ResourceCapExceeded(UserError):
 
 
 class EnumerationCapExceeded(UserError):
-    """Connected-subgraph enumeration aborted at the configured cap."""
+    """Enumeration aborted at the configured cap.
+
+    ``constraint_find`` raises it when the connected subgraphs exceed the
+    cap.  The solvers extract C through ``coverage_set``, which walks the
+    2^k resource subsets instead when those are fewer, so for them the cap
+    bounds the smaller of the two enumerations and this is raised only
+    when both exceed it.
+    """
 
     def __init__(self, cap, partial_count):
         self.cap = cap

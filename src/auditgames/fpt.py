@@ -275,7 +275,8 @@ class _ProgramCache:
 
 def resolve_formulation(game: AuditGame, cfg: SolveConfig):
     """Pick grid/transformed per config, with automatic grid fallback when
-    enumeration blows the cap.  Returns (name, cset_or_None, info)."""
+    both C extractions would pass the cap.  Returns (name, cset_or_None,
+    info); ``info["extraction"]`` names the side C came from."""
     info = {}
     if cfg.formulation == "grid":
         return "grid", None, info
@@ -284,7 +285,8 @@ def resolve_formulation(game: AuditGame, cfg: SolveConfig):
             graph = cx.build_intersection_graph(cx.merge_targets(game))
             report = cx.tractability_check(graph)
             info["tractability"] = report.to_dict()
-        cset = cx.constraint_find(game, cap=cfg.enumeration_cap, prune=True)
+        cset = cx.coverage_set(game, cfg.enumeration_cap)
+        info["extraction"] = cset.extraction
         return "transformed", cset, info
     except EnumerationCapExceeded as exc:
         info["fallback"] = str(exc)
@@ -396,7 +398,9 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
     Infeasible (target, x) pairs are expected and skipped; ties break
     toward smaller x, then smaller target index.  ``details`` counts the
     pairs solved, screened and infeasible (``lp_infeasible``), and the
-    pairs answered in closed form and by an LP (``lp_fallback``).
+    pairs answered in closed form and by an LP (``lp_fallback``); for a
+    transformed solve, ``extraction`` says whether C came from the
+    connected subgraphs or the resource subsets.
     """
     cfg = cfg or SolveConfig()
     formulation, cset, info = resolve_formulation(game, cfg)
@@ -460,7 +464,7 @@ def compare_formulations(game: AuditGame, cfg: SolveConfig | None = None,
     """
     cfg = cfg or SolveConfig()
     t0 = time.perf_counter()
-    cset = cx.constraint_find(game, cap=cfg.enumeration_cap, prune=True)
+    cset = cx.coverage_set(game, cfg.enumeration_cap)
     t_extract = time.perf_counter() - t0
 
     t0 = time.perf_counter()

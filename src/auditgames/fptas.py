@@ -446,7 +446,7 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     cfg = cfg or SolveConfig()
     if not cfg.a1_enabled and game.cost_a1:
         game = replace(game, cost_a1=0.0)
-    cset = cx.constraint_find(game, cap=cfg.enumeration_cap, prune=True)
+    cset = cx.coverage_set(game, cfg.enumeration_cap)
     d = compute_deltas(game)
     best = None
     best_sol = None

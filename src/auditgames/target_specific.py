@@ -193,7 +193,7 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     full coverage and punishment, or when coverage capacity is exhausted.
     """
     if cset is None:
-        cset = cx.constraint_find(game, prune=True)
+        cset = cx.coverage_set(game)
     d = compute_deltas(game)
     n = game.n_targets
     costs_all = game.target_costs
@@ -322,7 +322,7 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
     if cfg is None:
         cfg = SolveConfig(epsilon=DEFAULT_P_STEP)
     step = cfg.epsilon
-    cset = cx.constraint_find(game, cap=cfg.enumeration_cap, prune=True)
+    cset = cx.coverage_set(game, cfg.enumeration_cap)
     grid_points = int(math.floor(1.0 / step + 1e-12))
     grid = [i * step for i in range(grid_points + 1)]
     if grid[-1] < 1.0 - 1e-12:

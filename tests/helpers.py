@@ -94,3 +94,14 @@ def single_resource_grid_oracle(game, step=1e-3):
         obj = np.where(ok, ud_u + P * (ud_a - ud_u) - game.cost_a * X, -np.inf)
         best = max(best, float(obj.max()))
     return best
+
+
+def dense_restriction_game(n, k, seed=0):
+    """Random payoffs; target i is audited by the ((i mod (2^k - 1)) + 1)-th
+    nonempty resource subset, so the merged targets form an intersection
+    graph with more connected subgraphs than the 2^k resource subsets."""
+    base = rand_game(n, k, seed=seed)
+    restrictions = [(j, i) for i in range(n) for j in range(k)
+                    if not ((i % (2 ** k - 1)) + 1) >> j & 1]
+    return validate_game(n, k, base.utilities, restrictions,
+                         cost_a=base.cost_a)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from auditgames.constraints import (
     build_intersection_graph,
     constraint_find,
+    coverage_set,
     enumerate_connected_subgraphs,
     extract_constraints_naive,
     liftable_to_grid,
@@ -20,7 +22,12 @@ from auditgames.errors import EnumerationCapExceeded, ResourceCapExceeded
 from auditgames.lp import LinearProgram, solve_lp
 from auditgames.model import validate_game
 
-from helpers import brute_force_connected_subsets, explosion_game, rand_game
+from helpers import (
+    brute_force_connected_subsets,
+    dense_restriction_game,
+    explosion_game,
+    rand_game,
+)
 
 UTIL = (0.6, 0.5, 0.2, 0.3)
 
@@ -131,6 +138,77 @@ def test_enumeration_matches_brute_force():
         got = set(enumerate_connected_subgraphs(adjacency, 10 ** 6))
         want = brute_force_connected_subsets(adjacency)
         assert got == want
+
+
+def test_enumeration_yields_each_set_once():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        nv = int(rng.integers(1, 11))
+        density = rng.random()
+        adjacency = [set() for _ in range(nv)]
+        for u in range(nv):
+            for v in range(u + 1, nv):
+                if rng.random() < density:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+        got = list(enumerate_connected_subgraphs(adjacency, 10 ** 6))
+        assert len(got) == len(set(got)), f"trial {trial}"
+        assert set(got) == brute_force_connected_subsets(adjacency)
+
+
+def test_enumeration_memory_and_depth():
+    # the dense-restriction intersection graph: complete on 32 nodes
+    complete = [frozenset(set(range(32)) - {v}) for v in range(32)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded) as e:
+            for _ in enumerate_connected_subgraphs(complete, 150_000):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.partial_count == 150_000
+    assert peak < 10 * 2 ** 20
+    # a long path grows one deep chain of extensions from vertex 0
+    n = 3000
+    path = [frozenset(u for u in (v - 1, v + 1) if 0 <= u < n)
+            for v in range(n)]
+    with pytest.raises(EnumerationCapExceeded) as e:
+        for _ in enumerate_connected_subgraphs(path, 2 * n):
+            pass
+    assert e.value.partial_count == 2 * n
+
+
+def test_coverage_set_matches_constraint_find():
+    sides = set()
+    for seed in range(50):
+        n = 2 + seed % 7
+        k = 1 + seed % min(4, n - 1)
+        g = rand_game(n, k, density=0.1 * (seed % 6), seed=300 + seed)
+        got = coverage_set(g)
+        sides.add(got.extraction)
+        assert polytopes_equivalent(
+            got, constraint_find(g, prune=True), n), f"seed {seed}"
+    assert sides == {"subgraphs", "resource_subsets"}
+
+
+def test_coverage_set_picks_the_smaller_side():
+    g = dense_restriction_game(12, 3, seed=1)
+    graph = build_intersection_graph(merge_targets(g))
+    count = sum(1 for _ in enumerate_connected_subgraphs(graph))
+    assert count > 2 ** 3
+    # past 2^k subgraphs, the resource subsets are walked at any larger cap
+    for cap in (2 ** 3 + 1, count, count + 1):
+        got = coverage_set(g, cap)
+        assert got.extraction == "resource_subsets"
+        assert polytopes_equivalent(got, constraint_find(g, prune=True), 12)
+    # at a cap of at most 2^k only the subgraphs are walked, and they pass it
+    with pytest.raises(EnumerationCapExceeded):
+        coverage_set(g, 2 ** 3)
+    # 2 subgraphs against 2^2 resource subsets
+    sparse = disjoint_groups_game()
+    assert coverage_set(sparse).extraction == "subgraphs"
+    assert coverage_set(sparse, 2).extraction == "subgraphs"
 
 
 def test_constraint_find_equals_naive_polytope():

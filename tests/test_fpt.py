@@ -22,7 +22,7 @@ from auditgames.fpt import (
 from auditgames.lp import LinearProgram, solve_lp
 from auditgames.model import compute_deltas, validate_game
 
-from helpers import rand_game
+from helpers import dense_restriction_game, rand_game
 
 
 def test_grid_endpoints():
@@ -256,3 +256,22 @@ def test_closed_form_blocks_agree(monkeypatch):
     for star, expected in enumerate(whole):
         for got, want in zip(cache.closed_form(star, grid), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_dense_restrictions_past_subgraph_cap_stay_transformed():
+    # 111 connected subgraphs against 2^3 resource subsets and a cap of 20
+    g = dense_restriction_game(12, 3, seed=1)
+    sol = solve_fpt(g, SolveConfig(epsilon=0.05, enumeration_cap=20))
+    assert sol.formulation == "transformed"
+    assert sol.details["extraction"] == "resource_subsets"
+    assert "fallback" not in sol.details
+    grid = solve_fpt(g, SolveConfig(epsilon=0.05, formulation="grid"))
+    assert sol.objective == pytest.approx(grid.objective, abs=1e-9)
+
+
+def test_grid_fallback_when_the_cap_is_at_most_two_to_the_k():
+    g = dense_restriction_game(12, 3, seed=1)
+    sol = solve_fpt(g, SolveConfig(epsilon=0.05, enumeration_cap=2 ** 3))
+    assert sol.formulation == "grid"
+    assert "exceeded cap 8" in sol.details["fallback"]
+    assert "extraction" not in sol.details

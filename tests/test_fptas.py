@@ -13,7 +13,7 @@ from auditgames.fptas import (
 )
 from auditgames.model import compute_deltas, validate_game
 
-from helpers import rand_game, single_resource_grid_oracle
+from helpers import dense_restriction_game, rand_game, single_resource_grid_oracle
 
 COUNTEREXAMPLE_ROWS = [
     (0.614, 0.598, 0.202, 0.287), (0.719, 0.036, 0.869, 0.999),
@@ -246,3 +246,11 @@ def test_unauditable_star_band_handling():
     assert sol.p[1] == 0.0
     fine = solve_fpt(g, SolveConfig(epsilon=0.001))
     assert abs(sol.objective - fine.objective) <= 1e-2
+
+
+def test_fptas_past_subgraph_cap():
+    # 111 connected subgraphs against 2^3 resource subsets and a cap of 20
+    g = dense_restriction_game(12, 3, seed=1)
+    sol = solve_fptas(g, SolveConfig(root_bits=20, enumeration_cap=20))
+    fine = solve_fpt(g, SolveConfig(epsilon=0.005))
+    assert sol.objective >= fine.objective - 1e-3

@@ -12,7 +12,7 @@ from auditgames.target_specific import (
     solve_socp_fixed,
 )
 
-from helpers import rand_game
+from helpers import dense_restriction_game, rand_game
 
 
 def test_soc_identity_simple():
@@ -195,3 +195,11 @@ def test_px_against_dense_grid_oracle():
         sol = solve_px(g, SolveConfig(epsilon=0.01))
         oracle = grid_oracle_px(g)
         assert abs(sol.objective - oracle) <= 5e-3, f"seed {seed}"
+
+
+def test_px_past_subgraph_cap():
+    # 111 connected subgraphs against 2^3 resource subsets and a cap of 20
+    g = dense_restriction_game(12, 3, seed=1)
+    sol = solve_px(g, SolveConfig(epsilon=0.1, enumeration_cap=20))
+    assert sol.x[sol.star] == 0.0
+    assert np.isfinite(sol.objective)
