@@ -307,7 +307,58 @@ def make_feasible(candidates, eq: SubproblemEQ, game_const: float = 0.0):
     return out
 
 
-def _stationary_roots(eq: SubproblemEQ, b: Boundary, l: int, cap: int):
+class _RootCache:
+    """Root brackets in (0, 1) of one attacked target's polynomials.
+
+    The bands of one target share their coverage rows, band curves and
+    most coverage-set rows, so most of their polynomials repeat.  Entries
+    are keyed by coefficient tuple and precision and hold the
+    ``RootApprox`` tuple, or None for the zero polynomial; boundary pairs
+    are also keyed by their four coefficient tuples, so a repeated pair
+    skips building its cross product.
+    """
+
+    def __init__(self):
+        self.found = {}
+        self.isolated = 0
+        self.hits = 0
+
+    def roots(self, g: Polynomial, l: int):
+        key = (g.coefficients, l)
+        if key in self.found:
+            self.hits += 1
+            return self.found[key]
+        self.isolated += 1
+        try:
+            roots = tuple(isolate_roots(g, (0.0, 1.0), l))
+        except ZeroPolynomial:
+            roots = None
+        self.found[key] = roots
+        return roots
+
+    def crossing_roots(self, b1: Boundary, b2: Boundary, l: int, cap: int):
+        key = (b1.num.coefficients, b1.den.coefficients,
+               b2.num.coefficients, b2.den.coefficients, l)
+        if key in self.found:
+            self.hits += 1
+            return self.found[key]
+        cross = poly_sub(poly_mul(b1.num, b2.den, cap=cap),
+                         poly_mul(b2.num, b1.den, cap=cap))
+        roots = self.found[key] = self.roots(cross, l)
+        return roots
+
+
+def _bracket_points(roots):
+    """Each root's midpoint, then both ends of its bracket within [0, 1]:
+    the midpoint can sit just outside a boundary the root bounds."""
+    for r in roots or ():
+        yield r.value
+        yield max(0.0, r.value - r.radius)
+        yield min(1.0, r.value + r.radius)
+
+
+def _stationary_roots(eq: SubproblemEQ, b: Boundary, l: int, cap: int,
+                      cache: _RootCache):
     """Roots of d/dx [ (num/den)(D_D - a1 x) - a x ] cleared by den^2."""
     num, den = b.num, b.den
     dnum, dden = derivative(num), derivative(den)
@@ -319,27 +370,18 @@ def _stationary_roots(eq: SubproblemEQ, b: Boundary, l: int, cap: int):
                           poly_mul(num, den, cap=cap), cap=cap))
     g = poly_sub(g, poly_mul(Polynomial.from_coeffs((eq.cost_a,)),
                              poly_mul(den, den, cap=cap), cap=cap))
-    try:
-        return [r.value for r in isolate_roots(g, (0.0, 1.0), l)]
-    except ZeroPolynomial:
-        return []
+    return _bracket_points(cache.roots(g, l))
 
 
-def _intersection_roots(b1: Boundary, b2: Boundary, l: int, cap: int):
-    cross = poly_sub(poly_mul(b1.num, b2.den, cap=cap),
-                     poly_mul(b2.num, b1.den, cap=cap))
-    try:
-        return [r.value for r in isolate_roots(cross, (0.0, 1.0), l)]
-    except ZeroPolynomial:
-        return []
-
-
-def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int, cap: int):
+def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int, cap: int,
+                       cache: _RootCache):
     """Left endpoints of the feasible x-intervals at coverage ``p_hat``.
 
     Every boundary and both band conditions become univariate polynomial
     sign constraints; their roots partition [0, 1] and midpoint sampling
-    marks the feasible cells.
+    marks the feasible cells.  A left end that is a root also yields its
+    bracket's right end (at most the cell midpoint), which lies on the
+    feasible side of the root when the midpoint does not.
     """
     conditions = []  # polynomials required >= 0
     for b in eq.boundaries:
@@ -349,42 +391,47 @@ def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int, cap: int):
             shifted = Polynomial.from_coeffs(
                 tuple(-v for v in shifted.coefficients))
         conditions.append(shifted)
-    cuts = {0.0, 1.0}
+    radius = {0.0: 0.0, 1.0: 0.0}  # cut -> bracket radius
     for g in conditions:
-        try:
-            cuts.update(r.value for r in isolate_roots(g, (0.0, 1.0), l))
-        except ZeroPolynomial:
-            continue
-    cuts = sorted(cuts)
+        for r in cache.roots(g, l) or ():
+            radius[r.value] = max(radius.get(r.value, 0.0), r.radius)
+    cuts = sorted(radius)
     lefts = []
     for a, bnd in zip(cuts, cuts[1:]):
         mid = 0.5 * (a + bnd)
         if all(g(mid) >= -FEAS_TOL for g in conditions):
             lefts.append(a)
+            if radius[a] > 0.0:
+                lefts.append(min(a + radius[a], mid))
     return lefts
 
 
 def apx_candidates(eq: SubproblemEQ, l: int = 20,
-                   game_const: float = 0.0) -> list:
+                   game_const: float = 0.0,
+                   cache: _RootCache | None = None) -> list:
     """Feasible band candidates, best objective first.
 
     Candidates: the four domain corners, minimum-x solves at fixed
     coverage 0 and 1, stationary points of the objective along every
-    boundary, and all pairwise boundary intersections.
+    boundary, and all pairwise boundary intersections.  ``cache`` shares
+    root isolations between the bands of one attacked target.
     """
+    if cache is None:
+        cache = _RootCache()
     cap = 2 * max(4, len(eq.order) + 1) + 4
     raw = [(0.0, None, "corner:x=0"), (1.0, None, "corner:x=1")]
     for p_hat in (0.0, 1.0):
-        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cap):
+        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cap, cache):
             raw.append((x_left, p_hat, f"corner:p={p_hat:g}"))
             raw.append((x_left, None, f"corner:p={p_hat:g}+proj"))
     for b in eq.boundaries:
-        for x in _stationary_roots(eq, b, l, cap):
+        for x in _stationary_roots(eq, b, l, cap, cache):
             raw.append((x, None, f"single-boundary({b.origin})"))
     bounds = eq.boundaries
     for i in range(len(bounds)):
         for k in range(i + 1, len(bounds)):
-            for x in _intersection_roots(bounds[i], bounds[k], l, cap):
+            crossings = cache.crossing_roots(bounds[i], bounds[k], l, cap)
+            for x in _bracket_points(crossings):
                 raw.append(
                     (x, None,
                      f"intersection({bounds[i].origin},{bounds[k].origin})"))
@@ -392,13 +439,6 @@ def apx_candidates(eq: SubproblemEQ, l: int = 20,
     feasible = [c for c in candidates if c.feasible]
     feasible.sort(key=lambda c: (-c.objective, c.x))
     return feasible
-
-
-def apx_solve(eq: SubproblemEQ, l: int = 20,
-              game_const: float = 0.0) -> CandidatePoint | None:
-    """Best feasible candidate of one band, or None when the band is empty."""
-    feasible = apx_candidates(eq, l, game_const)
-    return feasible[0] if feasible else None
 
 
 def recover_full_solution(game: AuditGame, star: int, eq: SubproblemEQ,
@@ -452,8 +492,10 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     best_sol = None
     band_winners = []
     discarded = 0
+    isolated = hits = 0
     for star in range(game.n_targets):
         const = game.utilities[star][1]
+        cache = _RootCache()  # the bands of one target share polynomials
         order = sort_deltas(game, star)
         offs = [d.delta_pair[i, star] for i in order]
         for j in range(len(order) + 1):
@@ -467,7 +509,8 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
             # a candidate within rounding of a band edge can recover
             # inconsistently; the adjacent band owns that point, so fall
             # through to the next-best candidate here
-            for cand in apx_candidates(eq, cfg.root_bits, game_const=const):
+            for cand in apx_candidates(eq, cfg.root_bits, game_const=const,
+                                       cache=cache):
                 try:
                     sol = recover_full_solution(game, star, eq, cand.p_n,
                                                 cand.x, cset)
@@ -486,10 +529,14 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
             if best is None or key > best:
                 best = key
                 best_sol = sol
+        isolated += cache.isolated
+        hits += cache.hits
     if best_sol is None:
         raise AllProgramsInfeasible("every band of every target is infeasible")
     best_sol.details["band_winners"] = band_winners
     best_sol.details["root_bits"] = cfg.root_bits
     best_sol.details["n_constraints"] = len(cset.constraints)
     best_sol.details["discarded_candidates"] = discarded
+    best_sol.details["roots_isolated"] = isolated
+    best_sol.details["root_cache_hits"] = hits
     return best_sol

@@ -14,6 +14,7 @@ the tests.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,21 @@ def _kappas(game: AuditGame, star: int, p_star: float):
 
 class _BarrierProblem:
     """min sum(a_i x_i) over (p_i, x_i) pairs subject to hyperbolae,
-    boxes, and residual coverage-set capacity."""
+    boxes, and residual coverage-set capacity; ``cap_rows`` holds
+    (coefficient vector over the p-part, capacity) pairs."""
 
     def __init__(self, hypers, costs, cap_rows):
-        self.hypers = hypers   # list of HyperbolicConstraint
-        self.costs = np.asarray(costs, dtype=float)
-        self.cap_rows = cap_rows  # (coeff vector over p-part, capacity)
         self.m = len(hypers)
+        self.kappa = np.array([h.kappa for h in hypers], dtype=float)
+        self.shift = np.array([h.shift for h in hypers], dtype=float)
+        self.costs = np.asarray(costs, dtype=float)
+        self.cap_matrix = np.array([c for c, _ in cap_rows],
+                                   dtype=float).reshape(-1, self.m)
+        self.capacity = np.array([b for _, b in cap_rows], dtype=float)
+        self.reg = 1e-12 * np.eye(2 * self.m)  # Newton system regulariser
+        pairs = np.arange(self.m) * (2 * self.m + 1)
+        self._cross_at = np.concatenate((pairs + self.m,
+                                         pairs + 2 * self.m * self.m))
 
     # layout: z = [p_0..p_{m-1}, x_0..x_{m-1}]
     def split(self, z):
@@ -109,86 +118,85 @@ class _BarrierProblem:
         return float(self.costs @ x)
 
     def slacks(self, z):
+        """Hyperbolae, p >= 0, p <= 1, x >= 0, x <= 1, then capacities."""
         p, x = self.split(z)
-        s = []
-        for idx, h in enumerate(self.hypers):
-            s.append(p[idx] * (x[idx] + h.shift) - h.kappa)
-        s.extend(p)
-        s.extend(1.0 - p)
-        s.extend(x)
-        s.extend(1.0 - x)
-        for coeffs, capacity in self.cap_rows:
-            s.append(capacity - float(coeffs @ p))
-        return np.asarray(s)
+        return np.concatenate((p * (x + self.shift) - self.kappa, p, 1.0 - p,
+                               x, 1.0 - x,
+                               self.capacity - self.cap_matrix @ p))
 
     def n_constraints(self):
-        return 4 * self.m + len(self.cap_rows) + self.m
+        return 5 * self.m + self.capacity.size
+
+    def barrier_value(self, z, t):
+        """``t * objective - sum(log slacks)``, or None outside the domain."""
+        s = self.slacks(z)
+        if not (s > 0).all():
+            return None
+        return t * self.objective(z) - float(np.log(s).sum())
 
     def barrier_grad_hess(self, z, t):
         m = self.m
         p, x = self.split(z)
-        g = np.zeros(2 * m)
-        h = np.zeros((2 * m, 2 * m))
-        g[m:] += t * self.costs
-        for idx, hc in enumerate(self.hypers):
-            s = p[idx] * (x[idx] + hc.shift) - hc.kappa
-            dp, dx = x[idx] + hc.shift, p[idx]
-            g[idx] += -dp / s
-            g[m + idx] += -dx / s
-            h[idx, idx] += dp * dp / s**2
-            h[m + idx, m + idx] += dx * dx / s**2
-            cross = dp * dx / s**2 - 1.0 / s
-            h[idx, m + idx] += cross
-            h[m + idx, idx] += cross
-        for idx in range(m):
-            for val, sign, at in ((p[idx], 1.0, idx), (1 - p[idx], -1.0, idx),
-                                  (x[idx], 1.0, m + idx),
-                                  (1 - x[idx], -1.0, m + idx)):
-                g[at] += -sign / val
-                h[at, at] += 1.0 / val**2
-        for coeffs, capacity in self.cap_rows:
-            s = capacity - float(coeffs @ p)
-            g[:m] += coeffs / s
-            h[:m, :m] += np.outer(coeffs, coeffs) / s**2
+        dp = x + self.shift            # d s / d p of each hyperbola
+        s = p * dp - self.kappa
+        s2 = s**2
+        w = 1.0 - z
+        g = np.concatenate((-dp / s, t * self.costs - p / s))
+        g -= 1.0 / z
+        g += 1.0 / w
+        diag = np.concatenate((dp * dp / s2, p * p / s2))
+        diag += 1.0 / z**2
+        diag += 1.0 / w**2
+        h = np.diag(diag)
+        # the m mixed terms go to both (p_i, x_i) and (x_i, p_i): put()
+        # repeats its values over the 2m flat indices
+        h.put(self._cross_at, dp * p / s2 - 1.0 / s)
+        if self.capacity.size:
+            cap_s = self.capacity - self.cap_matrix @ p
+            g[:m] += self.cap_matrix.T @ (1.0 / cap_s)
+            h[:m, :m] += (self.cap_matrix.T / cap_s**2) @ self.cap_matrix
         return g, h
 
 
 def _newton_minimize(problem, z, t, tol=1e-9, max_iter=80):
-    for _ in range(max_iter):
+    """Damped Newton on the barrier at weight ``t`` with a backtracking
+    (Armijo) line search; returns (z, Newton steps taken)."""
+    value = None  # barrier value at z, carried over from the line search
+    for steps in range(max_iter):
         g, h = problem.barrier_grad_hess(z, t)
         try:
-            step = np.linalg.solve(h + 1e-12 * np.eye(h.shape[0]), -g)
+            step = np.linalg.solve(h + problem.reg, -g)
         except np.linalg.LinAlgError:
             step = -g
-        decrement = float(-g @ step)
-        if decrement / 2.0 <= tol:
-            return z
+        slope = float(g @ step)
+        if -slope / 2.0 <= tol:
+            return z, steps
+        if value is None:
+            value = problem.barrier_value(z, t)
         alpha = 1.0
-        base_obj = t * problem.objective(z) - float(
-            np.log(problem.slacks(z)).sum())
         for _ in range(60):
             cand = z + alpha * step
-            s = problem.slacks(cand)
-            if np.all(s > 0):
-                cand_obj = t * problem.objective(cand) - float(np.log(s).sum())
-                if cand_obj <= base_obj + 0.25 * alpha * float(g @ step):
-                    z = cand
-                    break
+            cand_value = problem.barrier_value(cand, t)
+            if (cand_value is not None
+                    and cand_value <= value + 0.25 * alpha * slope):
+                z, value = cand, cand_value
+                break
             alpha *= 0.5
         else:
             raise BarrierStall("line search failed to progress")
-    return z
+    return z, max_iter
 
 
 def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
                      cset: cx.ConstraintSet | None = None,
-                     with_info: bool = False):
+                     with_info: bool = False, tally: Counter | None = None):
     """Optimal punishments and coverages at fixed attacked-target coverage.
 
     Maximizes ``p_star * D_D(star) - sum(a_i x_i)`` with the attacked
     target's punishment pinned to zero.  Returns (p, x_vec, objective)
     raw (without the attacked target's utility constant); with
-    ``with_info`` a residuals/diagnostics dict is appended.
+    ``with_info`` a residuals/diagnostics dict is appended.  ``tally``,
+    when given, counts the Newton steps under ``"newton_steps"``.
     Raises :class:`Infeasible` when some constraint cannot be met even at
     full coverage and punishment, or when coverage capacity is exhausted.
     """
@@ -242,18 +250,23 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
         raise Infeasible("no strictly feasible start: capacity exhausted")
 
     t = 1.0
+    steps = 0
     while problem.n_constraints() / t >= BARRIER_EPS:
-        z = _newton_minimize(problem, z, t)
+        z, taken = _newton_minimize(problem, z, t)
+        steps += taken
         t *= 2.0
     t /= 2.0
     # polish at the final barrier weight so KKT residuals are tight
-    z = _newton_minimize(problem, z, t, tol=1e-14)
+    z, taken = _newton_minimize(problem, z, t, tol=1e-14)
+    steps += taken
+    if tally is not None:
+        tally["newton_steps"] += steps
     pv, xv = problem.split(z)
     for h, pi, xi in zip(hypers, pv, xv):
         p[h.var_p] = min(1.0, max(0.0, pi))
         x[h.var_p] = min(1.0, max(0.0, xi))
     objective = p_star * float(d.delta_d[star]) - float(
-        np.array(costs) @ np.clip(xv, 0.0, 1.0))
+        problem.costs @ np.clip(xv, 0.0, 1.0))
     if with_info:
         info = {
             "t": t,
@@ -270,26 +283,18 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
 
 
 def _constraint_jacobian(problem, z):
-    """Gradients of every slack function, one row per constraint."""
+    """Gradients of every slack function, one row per constraint, in the
+    order ``slacks`` emits them."""
     m = problem.m
     p, x = problem.split(z)
-    rows = []
-    for idx, h in enumerate(problem.hypers):
-        row = np.zeros(2 * m)
-        row[idx] = x[idx] + h.shift
-        row[m + idx] = p[idx]
-        rows.append(row)
-    # box blocks in the same order slacks() emits them
-    for sign, offset in ((1.0, 0), (-1.0, 0), (1.0, m), (-1.0, m)):
-        for idx in range(m):
-            row = np.zeros(2 * m)
-            row[offset + idx] = sign
-            rows.append(row)
-    for coeffs, _ in problem.cap_rows:
-        row = np.zeros(2 * m)
-        row[:m] = -coeffs
-        rows.append(row)
-    return np.vstack(rows)
+    eye = np.eye(m)
+    zero = np.zeros((m, m))
+    hyper = np.hstack((np.diag(x + problem.shift), np.diag(p)))
+    return np.vstack((hyper,
+                      np.hstack((eye, zero)), np.hstack((-eye, zero)),
+                      np.hstack((zero, eye)), np.hstack((zero, -eye)),
+                      np.hstack((-problem.cap_matrix,
+                                 np.zeros_like(problem.cap_matrix)))))
 
 
 def _kkt_multipliers(problem, z):
@@ -330,13 +335,15 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
     best = None
     solved = 0
     infeasible = 0
+    tally = Counter()
     for star in range(game.n_targets):
         const = game.utilities[star][1]
         for p_star in grid:
             if game.unauditable[star] and p_star > 0:
                 continue
             try:
-                p, x, raw = solve_socp_fixed(game, star, p_star, cset)
+                p, x, raw = solve_socp_fixed(game, star, p_star, cset,
+                                             tally=tally)
             except Infeasible:
                 infeasible += 1
                 continue
@@ -355,6 +362,7 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
             "p_step": step,
             "subproblems_solved": solved,
             "subproblems_infeasible": infeasible,
+            "newton_steps": tally["newton_steps"],
             "x_star": float(x[star]),
             "residuals": _px_residuals(game, cset, star, p, x),
         },

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from auditgames import constraints as cx
+from auditgames import fptas
+from auditgames.errors import DegenerateDenominator, VerificationFailed
 from auditgames.fpt import SolveConfig, solve_fpt
 from auditgames.fptas import (
-    apx_solve,
+    apx_candidates,
     build_subproblem,
     make_feasible,
     recover_full_solution,
     solve_fptas,
     sort_deltas,
 )
-from auditgames.model import compute_deltas, validate_game
+from auditgames.model import compute_deltas, game_from_dict, validate_game
 
 from helpers import dense_restriction_game, rand_game, single_resource_grid_oracle
 
@@ -103,8 +105,7 @@ def test_constant_boundary_band():
                       cost_a=0.01)
     cset = cx.constraint_find(g)
     eq = build_subproblem(g, 1, 1, cset)  # zero out the other target
-    cand = apx_solve(eq, 20, game_const=0.0)
-    assert cand is not None
+    cand = apx_candidates(eq, 20)[0]
     assert cand.x == 0.0
     assert cand.p_n == pytest.approx(1.0, abs=1e-9)
 
@@ -254,3 +255,112 @@ def test_fptas_past_subgraph_cap():
     sol = solve_fptas(g, SolveConfig(root_bits=20, enumeration_cap=20))
     fine = solve_fpt(g, SolveConfig(epsilon=0.005))
     assert sol.objective >= fine.objective - 1e-3
+
+
+# 7 targets, 2 resources, unsplit payoffs: the band-1 corner of target 2,
+# where setC:0 meets p = 0, is optimal, and the midpoint of its root
+# bracket lies just outside the coverage envelope
+BRACKET_END_INSTANCE = {
+    "targets": [
+        {"ud_a": 0.32819366455078125, "ud_u": 0.1204376220703125,
+         "ua_a": 0.2159900665283203, "ua_u": 0.7942209243774414},
+        {"ud_a": 0.793156623840332, "ud_u": 0.3013343811035156,
+         "ua_a": 0.3473520278930664, "ua_u": 0.5880117416381836},
+        {"ud_a": 0.7832422256469727, "ud_u": 0.7808361053466797,
+         "ua_a": 0.48213768005371094, "ua_u": 0.5228729248046875},
+        {"ud_a": 0.5221118927001953, "ud_u": 0.2681140899658203,
+         "ua_a": 0.4105844497680664, "ua_u": 0.9091892242431641},
+        {"ud_a": 0.8345489501953125, "ud_u": 0.596867561340332,
+         "ua_a": 0.5742654800415039, "ua_u": 0.7144927978515625},
+        {"ud_a": 0.7749414443969727, "ud_u": 0.01087188720703125,
+         "ua_a": 0.6357593536376953, "ua_u": 0.9452629089355469},
+        {"ud_a": 0.9398031234741211, "ud_u": 0.586817741394043,
+         "ua_a": 0.28490638732910156, "ua_u": 0.3268098831176758}],
+    "resources": 2, "restrictions": [[0, 5], [1, 0], [1, 3], [1, 4]],
+    "a": 0.01, "a1": 0.0, "input_bits": 20}
+
+
+def test_root_bracket_end_reaches_the_corner_optimum():
+    g = game_from_dict(BRACKET_END_INSTANCE)
+    ftas = solve_fptas(g, SolveConfig(root_bits=20))
+    fine = solve_fpt(g, SolveConfig(epsilon=0.0005))
+    assert abs(ftas.objective - fine.objective) <= 1e-3
+    assert ftas.star == fine.star == 2
+
+
+def _cache_games():
+    yield rand_game(5, 2, density=0.2, seed=3)
+    yield rand_game(6, 2, density=0.3, seed=8)
+    # target 1 loses the only resource and cannot be audited
+    yield validate_game(3, 1, [(0.6, 0.5, 0.2, 0.3), (0.7, 0.1, 0.2, 0.9),
+                               (0.8, 0.2, 0.1, 0.5)], [(0, 1)], cost_a=0.01)
+    yield validate_game(7, 1, COUNTEREXAMPLE_ROWS, cost_a=0.01, lenient=True)
+
+
+def test_root_cache_isolates_each_polynomial_once_per_target(monkeypatch):
+    isolated = []
+    star_now = []
+    original_isolate, original_build = fptas.isolate_roots, fptas.build_subproblem
+
+    def build(game, star, j, cset):
+        star_now.append(star)
+        return original_build(game, star, j, cset)
+
+    def isolate(p, interval, l):
+        isolated.append((star_now[-1], p.coefficients, l))
+        return original_isolate(p, interval, l)
+
+    monkeypatch.setattr(fptas, "build_subproblem", build)
+    monkeypatch.setattr(fptas, "isolate_roots", isolate)
+    for g in _cache_games():
+        isolated.clear()
+        sol = solve_fptas(g, SolveConfig(root_bits=20))
+        assert len(set(isolated)) == len(isolated)
+        assert sol.details["roots_isolated"] == len(isolated)
+
+
+def test_band_winners_match_uncached_candidates():
+    for g in _cache_games():
+        cfg = SolveConfig(root_bits=20)
+        sol = solve_fptas(g, cfg)
+        cset = cx.coverage_set(g, cfg.enumeration_cap)
+        for w in sol.details["band_winners"]:
+            star = w["star"]
+            eq = build_subproblem(g, star, w["band"], cset)
+            fresh = apx_candidates(eq, 20, game_const=g.utilities[star][1])
+            for cand in fresh:
+                try:
+                    recovered = recover_full_solution(g, star, eq, cand.p_n,
+                                                      cand.x, cset)
+                    break
+                except (VerificationFailed, DegenerateDenominator):
+                    continue
+            assert (recovered.objective, recovered.x, cand.p_n,
+                    cand.provenance) == (w["objective"], w["x"],
+                                         w["p_star"], w["provenance"])
+
+
+def test_root_counters_show_shared_isolations(monkeypatch):
+    g = rand_game(6, 2, density=0.3, seed=8)
+    cfg = SolveConfig(root_bits=20)
+    bands = []
+    original_build = fptas.build_subproblem
+
+    def build(game, star, j, cset):
+        bands.append((star, j))
+        return original_build(game, star, j, cset)
+
+    monkeypatch.setattr(fptas, "build_subproblem", build)
+    sol = solve_fptas(g, cfg)
+    monkeypatch.undo()
+    assert len(bands) > g.n_targets  # several bands per attacked target
+    # each request is an isolation or a hit, with or without sharing
+    cset = cx.coverage_set(g, cfg.enumeration_cap)
+    requests = 0
+    for star, j in bands:
+        own = fptas._RootCache()
+        apx_candidates(build_subproblem(g, star, j, cset), 20, cache=own)
+        requests += own.isolated + own.hits
+    isolated, hits = sol.details["roots_isolated"], sol.details["root_cache_hits"]
+    assert isolated + hits == requests
+    assert isolated < requests

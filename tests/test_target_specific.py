@@ -7,6 +7,9 @@ from auditgames.errors import Infeasible, NonpositiveKappa
 from auditgames.fpt import SolveConfig
 from auditgames.model import compute_deltas, validate_game
 from auditgames.target_specific import (
+    HyperbolicConstraint,
+    _BarrierProblem,
+    _constraint_jacobian,
     hyperbolic_to_soc,
     solve_px,
     solve_socp_fixed,
@@ -203,3 +206,111 @@ def test_px_past_subgraph_cap():
     sol = solve_px(g, SolveConfig(epsilon=0.1, enumeration_cap=20))
     assert sol.x[sol.star] == 0.0
     assert np.isfinite(sol.objective)
+
+
+def _random_barrier(rng, m, n_caps):
+    """A barrier problem with a strictly interior point z."""
+    p = rng.uniform(0.2, 0.8, m)
+    x = rng.uniform(0.2, 0.8, m)
+    shift = rng.uniform(-0.1, 0.5, m)
+    kappa = rng.uniform(0.2, 0.8, m) * p * (x + shift)
+    hypers = [HyperbolicConstraint(kappa=float(k), var_p=i, shift=float(s))
+              for i, (k, s) in enumerate(zip(kappa, shift))]
+    cap_rows = []
+    for _ in range(n_caps):
+        coeffs = (rng.random(m) < 0.6).astype(float)
+        coeffs[rng.integers(m)] = 1.0
+        cap_rows.append((coeffs, float(coeffs @ p) + rng.uniform(0.1, 0.5)))
+    costs = rng.uniform(0.005, 0.05, m)
+    return _BarrierProblem(hypers, costs, cap_rows), np.concatenate((p, x))
+
+
+def _loop_grad_hess(hypers, costs, cap_rows, z, t):
+    """Element-by-element gradient and Hessian of the barrier, kept as a
+    reference for the array kernel."""
+    m = len(hypers)
+    p, x = z[:m], z[m:]
+    g = np.zeros(2 * m)
+    h = np.zeros((2 * m, 2 * m))
+    g[m:] += t * np.asarray(costs)
+    for idx, hc in enumerate(hypers):
+        s = p[idx] * (x[idx] + hc.shift) - hc.kappa
+        dp, dx = x[idx] + hc.shift, p[idx]
+        g[idx] += -dp / s
+        g[m + idx] += -dx / s
+        h[idx, idx] += dp * dp / s**2
+        h[m + idx, m + idx] += dx * dx / s**2
+        cross = dp * dx / s**2 - 1.0 / s
+        h[idx, m + idx] += cross
+        h[m + idx, idx] += cross
+    for idx in range(m):
+        for val, sign, at in ((p[idx], 1.0, idx), (1 - p[idx], -1.0, idx),
+                              (x[idx], 1.0, m + idx),
+                              (1 - x[idx], -1.0, m + idx)):
+            g[at] += -sign / val
+            h[at, at] += 1.0 / val**2
+    for coeffs, capacity in cap_rows:
+        s = capacity - float(coeffs @ p)
+        g[:m] += coeffs / s
+        h[:m, :m] += np.outer(coeffs, coeffs) / s**2
+    return g, h
+
+
+@pytest.mark.parametrize("n_caps", [0, 3])
+def test_barrier_grad_hess_matches_finite_differences(n_caps):
+    rng = np.random.default_rng(7 + n_caps)
+    step = 1e-6
+    for _ in range(20):
+        m = int(rng.integers(1, 6))
+        problem, z = _random_barrier(rng, m, n_caps)
+        t = float(rng.uniform(0.5, 50.0))
+        g, h = problem.barrier_grad_hess(z, t)
+        assert problem.barrier_value(z, t) == pytest.approx(
+            t * problem.objective(z) - np.log(problem.slacks(z)).sum())
+        for idx in range(2 * m):
+            zp, zm = z.copy(), z.copy()
+            zp[idx] += step
+            zm[idx] -= step
+            fd_g = (problem.barrier_value(zp, t)
+                    - problem.barrier_value(zm, t)) / (2 * step)
+            fd_h = (problem.barrier_grad_hess(zp, t)[0]
+                    - problem.barrier_grad_hess(zm, t)[0]) / (2 * step)
+            assert fd_g == pytest.approx(g[idx], rel=1e-5, abs=1e-6)
+            np.testing.assert_allclose(fd_h, h[:, idx], rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("n_caps", [0, 4])
+def test_barrier_grad_hess_matches_scalar_loop(n_caps):
+    rng = np.random.default_rng(31 + n_caps)
+    for _ in range(50):
+        m = int(rng.integers(1, 8))
+        problem, z = _random_barrier(rng, m, n_caps)
+        hypers = [HyperbolicConstraint(kappa=float(k), var_p=i,
+                                       shift=float(s))
+                  for i, (k, s) in enumerate(zip(problem.kappa,
+                                                 problem.shift))]
+        caps = list(zip(problem.cap_matrix, problem.capacity))
+        t = float(rng.uniform(0.5, 1e4))
+        g, h = problem.barrier_grad_hess(z, t)
+        g_ref, h_ref = _loop_grad_hess(hypers, problem.costs, caps, z, t)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-10, atol=0.0)
+
+
+def test_slack_order_matches_constraint_jacobian():
+    rng = np.random.default_rng(5)
+    problem, z = _random_barrier(rng, 4, 2)
+    jac = _constraint_jacobian(problem, z)
+    step = 1e-6
+    for idx in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[idx] += step
+        zm[idx] -= step
+        fd = (problem.slacks(zp) - problem.slacks(zm)) / (2 * step)
+        np.testing.assert_allclose(fd, jac[:, idx], atol=1e-7)
+
+
+def test_px_reports_newton_steps():
+    g = rand_game(3, 1, seed=4, a_vec=True)
+    sol = solve_px(g, SolveConfig(epsilon=0.2))
+    assert sol.details["newton_steps"] >= sol.details["subproblems_solved"] > 0
