@@ -6,8 +6,9 @@ the sparse rows of ``constraints.lift_to_allocation_rows``, solved to the
 LP module's 1e-9 feasibility tolerance.  The
 decomposition then writes that (doubly sub-stochastic) matrix as a convex
 combination of 0/1 assignment matrices: the matrix is padded to a square
-doubly stochastic one with slack blocks, perfect matchings are peeled off
-one at a time, and the slack part of each matching is stripped away.
+doubly stochastic one with slack blocks, perfect matchings (scipy's
+Hopcroft-Karp) are peeled off one at a time, each zeroing its smallest
+matched entry, and the slack part of each matching is stripped away.
 A row or column that overshoots 1 by no more than the solvers'
 verification tolerance is scaled back to 1 first.
 """
@@ -82,50 +83,25 @@ def _pad_doubly_stochastic(m: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _perfect_matching(support: np.ndarray, prefer=None):
-    """Kuhn's augmenting-path perfect matching on a square boolean support.
+def _perfect_matching(support: np.ndarray):
+    """Perfect matching on a square boolean support by Hopcroft-Karp.
 
-    ``prefer`` optionally forces one (row, col) edge into the matching.
     Returns an array match_col[row] or None when no perfect matching exists.
     """
-    size = support.shape[0]
-    match_of_col = np.full(size, -1, dtype=int)
-    cols_for_row = [np.flatnonzero(support[r]) for r in range(size)]
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    def try_assign(r, visited):
-        for c in cols_for_row[r]:
-            if not visited[c]:
-                visited[c] = True
-                if match_of_col[c] < 0 or try_assign(match_of_col[c], visited):
-                    match_of_col[c] = r
-                    return True
-        return False
-
-    order = list(range(size))
-    if prefer is not None:
-        pr, pc = prefer
-        match_of_col[pc] = pr
-        order.remove(pr)
-    for r in order:
-        visited = np.zeros(size, dtype=bool)
-        if prefer is not None:
-            visited[prefer[1]] = True
-        if not try_assign(r, visited):
-            return None
-    match_col = np.empty(size, dtype=int)
-    for c, r in enumerate(match_of_col):
-        if r < 0:
-            return None
-        match_col[r] = c
-    return match_col
+    match_col = maximum_bipartite_matching(csr_array(support),
+                                           perm_type="column")
+    return None if np.any(match_col < 0) else match_col
 
 
 def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
     """Deterministic Birkhoff-style peeling of the padded matrix.
 
-    Each round forces the currently smallest positive entry into a perfect
-    matching, so at least one entry is zeroed per extraction and the
-    component count stays below the padded nonzero count plus one.
+    Each round takes a perfect matching of the support and peels it off
+    with the weight of its smallest matched entry, so that entry is zeroed
+    and the component count stays below the padded nonzero count plus one.
     Identical stripped assignments are merged.
     """
     m = np.asarray(alloc.entries, dtype=float)
@@ -153,22 +129,17 @@ def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
         support = d > ENTRY_FLOOR
         if not support.any():
             break
-        # force the smallest positive entry so it is zeroed this round
-        prefer = np.unravel_index(
-            int(np.argmin(np.where(support, d, np.inf))), d.shape)
-        match = _perfect_matching(support, prefer=prefer)
+        match = _perfect_matching(support)
         if match is None:
-            # tolerance starvation: relax the forced edge and retry
-            match = _perfect_matching(support)
-            if match is None:
-                raise NumericalResidual("no perfect matching on padded support")
-        weight = float(d[np.arange(size), match].min())
-        weight = min(weight, remaining)
+            raise NumericalResidual("no perfect matching on padded support")
+        rows = np.arange(size)
+        smallest = int(np.argmin(d[rows, match]))
+        weight = min(float(d[smallest, match[smallest]]), remaining)
         if weight <= WEIGHT_FLOOR:
             # absorb a vanishing weight by zeroing its smallest entry
-            d[prefer] = 0.0
+            d[smallest, match[smallest]] = 0.0
             continue
-        d[np.arange(size), match] -= weight
+        d[rows, match] -= weight
         d[d < ENTRY_FLOOR] = 0.0
         remaining -= weight
         # strip slack-touching edges: keep only the real k x n block

@@ -14,13 +14,13 @@ from .alloc import bvn_decompose, recover_allocation
 from .errors import DivisibilityError, InternalError, UsageError, UserError
 from .fpt import (
     SolveConfig,
+    _ClosedFormPairs,
     _ProgramCache,
     compare_formulations,
     full_objective,
     solve_fpt,
 )
 from .fptas import solve_fptas
-from .lp import solve_lp
 from .model import (
     AuditGame,
     DEFAULT_INPUT_BITS,
@@ -149,26 +149,23 @@ def counterexample_game() -> AuditGame:
 def counterexample_curve(step: float = 0.005, star: int = COUNTEREXAMPLE_STAR):
     """Objective-versus-punishment curve for the published instance.
 
-    Solves the fixed-best-response program per grid point and reports the
-    strict interior local maxima of the curve.
+    Solves the fixed-best-response program at every grid point with the
+    sweep's transformed pair solver and reports the strict interior local
+    maxima of the curve.
     Returns (curve points, peaks, game).
     """
     if step > 0.005 + 1e-15:
         raise UsageError("step must be at most 0.005")
     game = counterexample_game()
-    cset = cx.coverage_set(game)
-    cache = _ProgramCache(game, cset)
-    count = int(round(1.0 / step))
+    pairs = _ClosedFormPairs(_ProgramCache(game, cx.coverage_set(game)),
+                             "transformed")
+    xs = [min(1.0, i * step) for i in range(int(round(1.0 / step)) + 1)]
+    solve = pairs.for_star(star, xs)
     points = []
-    for i in range(count + 1):
-        x = min(1.0, i * step)
-        out = solve_lp(cache.build(star, x, "transformed"))
-        if out.status == "optimal":
-            p = cache.coverage_from_solution("transformed", out.solution)
-            points.append(CurvePoint(x, full_objective(
-                game, star, float(p[star]), x)))
-        else:
-            points.append(CurvePoint(x, None))
+    for i, x in enumerate(xs):
+        p = solve(i)
+        points.append(CurvePoint(x, None if p is None else full_objective(
+            game, star, float(p[star]), x)))
     peaks = []
     for i in range(1, len(points) - 1):
         a, b, c = points[i - 1].best_objective, points[i].best_objective, \

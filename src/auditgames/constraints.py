@@ -48,7 +48,6 @@ class ConstraintSet:
     n_targets: int
     constraints: tuple
     pinned: tuple = ()  # unauditable targets
-    includes_box: bool = True
     # the side coverage_set took: "subgraphs" or "resource_subsets"
     extraction: str | None = None
 
@@ -99,16 +98,6 @@ class IntersectionGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-
-def only_audited_by(game: AuditGame, resource_subset) -> frozenset:
-    """Targets whose (nonempty) audit set lies inside the given resources."""
-    subset = frozenset(resource_subset)
-    fmap = audit_sets(game)
-    return frozenset(
-        i for i in range(game.n_targets)
-        if fmap[i] and fmap[i] <= subset
-    )
 
 
 def extract_constraints_naive(

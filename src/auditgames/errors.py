@@ -47,10 +47,6 @@ class PrecisionUnachievable(InternalError):
     """Requested root radius is below what double precision can certify."""
 
 
-class NearSingularity(AuditGamesError):
-    """Rational function evaluated too close to a denominator root."""
-
-
 # --- lp ------------------------------------------------------------------
 
 class NumericalBreakdown(InternalError):

@@ -42,7 +42,6 @@ class SolveConfig:
     formulation: str = "auto"  # grid | transformed | auto
     enumeration_cap: int = cx.DEFAULT_SUBGRAPH_CAP
     root_bits: int = 20
-    a1_enabled: bool = True
     verify: bool = True
     screen: bool = True  # cheap per-(star, x) infeasibility pre-check
 
@@ -75,13 +74,12 @@ def x_grid(epsilon: float) -> list:
     return values
 
 
-def full_objective(game: AuditGame, star: int, p_star: float, x: float,
-                   a1: float | None = None) -> float:
+def full_objective(game: AuditGame, star: int, p_star: float,
+                   x: float) -> float:
     """Defender utility when `star` is attacked, constant term included."""
     ud_a, ud_u = game.utilities[star][0], game.utilities[star][1]
-    if a1 is None:
-        a1 = game.cost_a1
-    return ud_u + p_star * ((ud_a - ud_u) - a1 * x) - game.cost_a * x
+    return (ud_u + p_star * ((ud_a - ud_u) - game.cost_a1 * x)
+            - game.cost_a * x)
 
 
 def infeasibility_screen(game: AuditGame, star: int, xs) -> np.ndarray:
@@ -408,12 +406,11 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
     grid = x_grid(cfg.epsilon)
     pairs = (_ClosedFormPairs if formulation == "transformed"
              else _LpPairs)(cache, formulation)
-    a1 = game.cost_a1 if cfg.a1_enabled else 0.0
     best = None
     for star, x, p in _sweep(game, cfg, grid, pairs):
         if p is None:
             continue
-        key = (full_objective(game, star, float(p[star]), x, a1=a1), -x, -star)
+        key = (full_objective(game, star, float(p[star]), x), -x, -star)
         if best is None or key > best[0]:
             best = (key, p, x, star)
     if best is None:
@@ -447,10 +444,9 @@ def per_pair_objectives(game: AuditGame, cfg: SolveConfig, formulation: str,
     runs strictly serially.
     """
     pairs = _LpPairs(_ProgramCache(game, cset), formulation)
-    a1 = game.cost_a1 if cfg.a1_enabled else 0.0
     return {
         (star, x): None if p is None
-        else full_objective(game, star, float(p[star]), x, a1=a1)
+        else full_objective(game, star, float(p[star]), x)
         for star, x, p in _sweep(game, cfg, x_grid(cfg.epsilon), pairs)
     }
 

@@ -19,7 +19,7 @@ points where the denominator is safely signed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class SubproblemEQ:
     cost_a: float
     cost_a1: float
     offsets: np.ndarray  # attacker offset of each target vs star
-
-    @property
-    def upper_boundaries(self):
-        return tuple(b for b in self.boundaries if b.is_upper)
 
 
 @dataclass
@@ -484,8 +480,6 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     accepted under lenient validation) are discarded with a count.
     """
     cfg = cfg or SolveConfig()
-    if not cfg.a1_enabled and game.cost_a1:
-        game = replace(game, cost_a1=0.0)
     cset = cx.coverage_set(game, cfg.enumeration_cap)
     d = compute_deltas(game)
     best = None

@@ -215,16 +215,6 @@ def audit_sets(game: AuditGame) -> AuditSetMap:
     return AuditSetMap(audit_sets=tuple(sets))
 
 
-def restrictions_from_audit_sets(n_resources: int, audit_map: AuditSetMap) -> frozenset:
-    """Inverse of :func:`audit_sets`; used to test the involution property."""
-    pairs = set()
-    for i, allowed in enumerate(audit_map.audit_sets):
-        for j in range(n_resources):
-            if j not in allowed:
-                pairs.add((j, i))
-    return frozenset(pairs)
-
-
 # --- instance files -------------------------------------------------------
 
 _TOP_KEYS = {"targets", "resources", "restrictions", "a", "a1", "a_vec", "input_bits"}
@@ -294,8 +284,3 @@ def load_game(path, lenient: bool = False) -> AuditGame:
         raise UsageError(f"malformed instance file {path}: {exc}") from exc
     return game_from_dict(data, lenient=lenient)
 
-
-def save_game(game: AuditGame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,4 +1,4 @@
-"""Dense real polynomials, rational functions, and certified root isolation.
+"""Dense real polynomials and certified root isolation.
 
 Polynomials are stored as coefficient tuples in ascending degree order.
 Root isolation combines a Sturm sequence (for certified root counts over
@@ -13,12 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    DegreeCapExceeded,
-    NearSingularity,
-    PrecisionUnachievable,
-    ZeroPolynomial,
-)
+from .errors import DegreeCapExceeded, PrecisionUnachievable, ZeroPolynomial
 
 MAX_ROOT_BITS = 40
 WARN_ROOT_BITS = 30
@@ -56,20 +51,6 @@ class Polynomial:
 
     def __call__(self, x: float) -> float:
         return horner(self.coefficients, x)
-
-
-@dataclass(frozen=True)
-class RationalFn:
-    """Ratio of polynomials.  ``singular_at`` lists known denominator roots
-    inside the working interval; an empty tuple asserts there are none."""
-
-    numerator: Polynomial
-    denominator: Polynomial
-    singular_at: tuple = ()
-
-    def __post_init__(self):
-        if self.denominator.is_zero:
-            raise ZeroPolynomial("rational function with zero denominator")
 
 
 @dataclass(frozen=True)
@@ -136,10 +117,6 @@ def poly_arith(p: Polynomial, q: Polynomial, op: str, cap: int | None = None) ->
     return result
 
 
-def poly_add(p, q, cap=None):
-    return poly_arith(p, q, "add", cap)
-
-
 def poly_sub(p, q, cap=None):
     return poly_arith(p, q, "sub", cap)
 
@@ -148,29 +125,11 @@ def poly_mul(p, q, cap=None):
     return poly_arith(p, q, "mul", cap)
 
 
-def poly_scale(p: Polynomial, s: float) -> Polynomial:
-    return Polynomial.from_coeffs(tuple(c * s for c in p.coefficients))
-
-
 def derivative(p: Polynomial) -> Polynomial:
     c = p.coefficients
     if len(c) == 1:
         return Polynomial.from_coeffs((0.0,))
     return Polynomial.from_coeffs(tuple(i * c[i] for i in range(1, len(c))))
-
-
-def quotient_derivative(f: RationalFn) -> RationalFn:
-    """(num/den)' = (num'*den - num*den') / den**2, unsimplified."""
-    num, den = f.numerator, f.denominator
-    top = poly_sub(poly_mul(derivative(num), den), poly_mul(num, derivative(den)))
-    return RationalFn(top, poly_mul(den, den), singular_at=f.singular_at)
-
-
-def eval_rational(f: RationalFn, x: float) -> float:
-    den_val, den_bound = _horner_with_bound(f.denominator.coefficients, x)
-    if abs(den_val) <= 1e-12 * max(den_bound, 1.0):
-        raise NearSingularity(f"denominator vanishes near x={x}")
-    return horner(f.numerator.coefficients, x) / den_val
 
 
 def _normalize(coeffs) -> list:

@@ -42,10 +42,6 @@ class HyperbolicConstraint:
     var_p: int
     shift: float
 
-    @property
-    def soc_k(self) -> float:
-        return 2.0 * math.sqrt(self.kappa)
-
 
 @dataclass(frozen=True)
 class SocForm:

@@ -4,6 +4,7 @@ import pytest
 from auditgames.alloc import (
     AllocationMatrix,
     PureStrategyMixture,
+    _perfect_matching,
     bvn_decompose,
     recover_allocation,
 )
@@ -99,6 +100,44 @@ def test_random_matrices_reconstruct():
         for a in mix.assignments:
             assert set(np.unique(a)) <= {0.0, 1.0}
             assert np.all(a.sum(axis=0) <= 1) and np.all(a.sum(axis=1) <= 1)
+
+
+def test_sparse_wide_matrix_decomposes():
+    # past criterion 10's sizes (k <= 10, n <= 20): about 40 nonzeros a row
+    rng = np.random.default_rng(2020)
+    m = random_substochastic(rng, 20, 400, sparsity=0.9)
+    mix = bvn_decompose(AllocationMatrix(m))
+    assert np.abs(mix.reconstruct() - m).max() <= 1e-9
+    padded_nnz = 2 * int((m > 0).sum()) + 20 + 400
+    assert len(mix.weights) <= padded_nnz + 1
+    for a in mix.assignments:
+        assert set(np.unique(a)) <= {0.0, 1.0}
+
+
+def test_perfect_matching_stays_in_support():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 30, 120):
+        planted = rng.permutation(size)
+        support = rng.random((size, size)) < 0.1
+        support[np.arange(size), planted] = True
+        match = _perfect_matching(support)
+        assert sorted(match) == list(range(size))
+        assert support[np.arange(size), match].all()
+
+
+def test_perfect_matching_none_without_one():
+    support = np.ones((5, 5), dtype=bool)
+    support[3] = False
+    assert _perfect_matching(support) is None
+
+
+def test_decomposition_is_deterministic():
+    m = random_substochastic(np.random.default_rng(9), 6, 15, sparsity=0.4)
+    a = bvn_decompose(AllocationMatrix(m))
+    b = bvn_decompose(AllocationMatrix(m))
+    assert a.weights == b.weights
+    assert all(np.array_equal(x, y)
+               for x, y in zip(a.assignments, b.assignments, strict=True))
 
 
 def test_end_to_end_marginals():

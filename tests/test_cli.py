@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import auditgames
+from auditgames import constraints as cx
 from auditgames.cli import (
     BenchConfig,
     COUNTEREXAMPLE_ROWS,
+    COUNTEREXAMPLE_STAR,
     bench,
     counterexample_curve,
     counterexample_game,
@@ -18,6 +20,8 @@ from auditgames.cli import (
     run,
 )
 from auditgames.errors import DivisibilityError
+from auditgames.fpt import _ProgramCache, full_objective
+from auditgames.lp import solve_lp
 from auditgames.model import game_from_dict, game_to_dict
 
 
@@ -92,6 +96,30 @@ def test_counterexample_curve_golden_values():
     for x in (0.0, 0.5, 1.0):
         assert fine_by_x[x] == pytest.approx(by_x[x], abs=1e-9)
     assert len(fine_peaks) == len(peaks)
+
+
+def test_counterexample_curve_matches_lp_oracle():
+    points, peaks, game = counterexample_curve(step=0.005)
+    star = COUNTEREXAMPLE_STAR
+    cache = _ProgramCache(game, cx.coverage_set(game))
+    oracle = []
+    for pt in points:
+        out = solve_lp(cache.build(star, pt.x, "transformed"))
+        if out.status != "optimal":
+            oracle.append(None)
+            continue
+        p = cache.coverage_from_solution("transformed", out.solution)
+        oracle.append(full_objective(game, star, float(p[star]), pt.x))
+    for pt, want in zip(points, oracle, strict=True):
+        if want is None:
+            assert pt.best_objective is None, pt.x
+        else:
+            assert abs(pt.best_objective - want) <= 1e-12, pt.x
+    oracle_peaks = [
+        points[i].x for i in range(1, len(oracle) - 1)
+        if None not in oracle[i - 1:i + 2]
+        and oracle[i] > max(oracle[i - 1], oracle[i + 1])]
+    assert [pk["x"] for pk in peaks] == oracle_peaks
 
 
 def test_cli_solve_all_methods(tmp_path):

@@ -13,7 +13,6 @@ from auditgames.constraints import (
     extract_constraints_naive,
     liftable_to_grid,
     merge_targets,
-    only_audited_by,
     polytopes_equivalent,
     prune_implied,
     tractability_check,
@@ -36,15 +35,6 @@ def disjoint_groups_game():
     # resource 0 audits {0,1}; resource 1 audits {2,3}
     return validate_game(4, 2, [UTIL] * 4, [(0, 2), (0, 3), (1, 0), (1, 1)],
                          cost_a=0.01)
-
-
-def test_only_audited_by():
-    g = validate_game(4, 3, [UTIL] * 4, cost_a=0.01)
-    assert only_audited_by(g, {0, 1}) == frozenset()
-    assert only_audited_by(g, {0, 1, 2}) == frozenset({0, 1, 2, 3})
-    ex = explosion_game(4)
-    # resources {1, 2} exclusively audit the two pairs behind them
-    assert only_audited_by(ex, {1, 2}) == frozenset({2, 3, 4, 5})
 
 
 def test_naive_no_restrictions_single_constraint():

@@ -158,9 +158,6 @@ def test_a1_enhancement_changes_objective():
     s1 = solve_fpt(g1, SolveConfig(epsilon=0.05))
     # the enhanced objective never beats the plain one
     assert s1.objective <= s0.objective + 1e-12
-    # disabling the flag reproduces the plain objective exactly
-    s1_off = solve_fpt(g1, SolveConfig(epsilon=0.05, a1_enabled=False))
-    assert s1_off.objective == pytest.approx(s0.objective, abs=1e-12)
 
 
 def test_all_programs_infeasible_unreachable_for_valid_games():

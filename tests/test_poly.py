@@ -3,21 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from auditgames.errors import (
-    DegreeCapExceeded,
-    NearSingularity,
-    ZeroPolynomial,
-)
+from auditgames.errors import DegreeCapExceeded, ZeroPolynomial
 from auditgames.poly import (
     Polynomial,
-    RationalFn,
     count_roots,
-    eval_rational,
     isolate_roots,
-    poly_add,
     poly_arith,
     poly_mul,
-    quotient_derivative,
     sturm_sequence,
 )
 
@@ -35,11 +27,6 @@ def test_difference_of_squares():
     assert poly_mul(P((1.0, 1.0)), P((-1.0, 1.0))).coefficients == (-1.0, 0.0, 1.0)
 
 
-def test_additive_identity():
-    p = P((0.3, 0.0, 2.0))
-    assert poly_add(p, P((0.0,))).coefficients == p.coefficients
-
-
 def test_expansion():
     got = poly_mul(P((0.3, 1.0)), P((0.7, 1.0)))
     assert np.allclose(got.coefficients, (0.21, 1.0, 1.0))
@@ -48,28 +35,6 @@ def test_expansion():
 def test_degree_cap():
     with pytest.raises(DegreeCapExceeded):
         poly_arith(P((0, 0, 1.0)), P((0, 0, 1.0)), "mul", cap=3)
-
-
-def test_quotient_rule():
-    f = RationalFn(P((0.0, 0.0, 1.0)), P((1.0, 1.0)))  # x^2 / (x+1)
-    df = quotient_derivative(f)
-    assert np.allclose(df.numerator.coefficients, (0.0, 2.0, 1.0))
-    assert np.allclose(df.denominator.coefficients, (1.0, 2.0, 1.0))
-
-
-def test_derivative_of_constant_and_linear():
-    df = quotient_derivative(RationalFn(P((3.0,)), P((1.0,))))
-    assert df.numerator.is_zero
-    df = quotient_derivative(RationalFn(P((3.0, 2.0)), P((1.0,))))
-    assert df.numerator.coefficients == (2.0,)
-
-
-def test_eval_rational():
-    f = RationalFn(P((0.0, 0.0, 1.0)), P((1.0, 1.0)))
-    assert eval_rational(f, 1.0) == 0.5
-    assert eval_rational(RationalFn(P((3.0,)), P((1.0,))), 0.42) == 3.0
-    with pytest.raises(NearSingularity):
-        eval_rational(f, -1.0)
 
 
 def test_isolate_simple_root():
@@ -133,21 +98,6 @@ def test_bracketing_invariant():
             lo = p(root.value - root.radius)
             hi = p(root.value + root.radius)
             assert lo * hi <= 0.0 or not root.sign_change
-
-
-def test_quotient_derivative_matches_finite_differences():
-    rng = np.random.default_rng(77)
-    for _ in range(10):
-        num = P(tuple(rng.normal(size=4)))
-        den = P((1.0, *rng.uniform(0.2, 1.0, 2)))
-        f = RationalFn(num, den)
-        df = quotient_derivative(f)
-        for _ in range(10):
-            x = rng.uniform(0.05, 0.95)
-            h = 1e-6
-            fd = (eval_rational(f, x + h) - eval_rational(f, x - h)) / (2 * h)
-            exact = eval_rational(df, x)
-            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 def test_precision_warning_beyond_30_bits():
