@@ -8,7 +8,11 @@ nonpositive kappas drop out, and the rest are hyperbolic constraints
 ``kappa <= p_i (x_i + D_i)`` whose feasible set is second-order-cone
 representable, hence convex.  Each subproblem is solved with a log-barrier
 Newton method; the cone form is kept as an algebraic certificate used by
-the tests.
+the tests.  As each slack ``p (x + shift) - kappa`` is ``(r^2 - |u|^2) / 4``
+with r and u affine, the barrier is self-concordant (a cone barrier under
+an affine map): Newton takes full steps once the squared decrement is below
+1/16.  The weight starts at ``n_constraints / sum(costs)`` (x starts near
+1), grows by ``MU`` and ends at a gap bound of exactly BARRIER_EPS.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .model import AuditGame, compute_deltas
 DEFAULT_P_STEP = 0.01
 BARRIER_EPS = 1e-8
 START_GAP = 1e-6
+MU = 16  # barrier weight growth per centring
 
 
 @dataclass(frozen=True)
@@ -123,12 +128,14 @@ class _BarrierProblem:
     def n_constraints(self):
         return 5 * self.m + self.capacity.size
 
-    def barrier_value(self, z, t):
-        """``t * objective - sum(log slacks)``, or None outside the domain."""
-        s = self.slacks(z)
-        if not (s > 0).all():
+    def barrier_change(self, z, dz, t):
+        """Barrier at z + dz minus barrier at z, None outside the domain;
+        from slack ratios, as the values round to ~1e-8 at t ~ 1e9."""
+        s1 = self.slacks(z + dz)
+        if not (s1 > 0).all():
             return None
-        return t * self.objective(z) - float(np.log(s).sum())
+        return (t * float(self.costs @ dz[self.m:])
+                - float(np.log(s1 / self.slacks(z)).sum()))
 
     def barrier_grad_hess(self, z, t):
         m = self.m
@@ -154,33 +161,37 @@ class _BarrierProblem:
         return g, h
 
 
-def _newton_minimize(problem, z, t, tol=1e-9, max_iter=80):
-    """Damped Newton on the barrier at weight ``t`` with a backtracking
-    (Armijo) line search; returns (z, Newton steps taken)."""
-    value = None  # barrier value at z, carried over from the line search
-    for steps in range(max_iter):
+def _newton_minimize(problem, z, t, tally, tol=1e-9, max_iter=80):
+    """Newton on the barrier at weight ``t`` (Boyd & Vandenberghe 9.6):
+    full steps below 1/16, Armijo backtracking on the change above.  Stops
+    at ``tol`` or when a full step did not shrink the decrement (rounding
+    floor); returns z, counting steps and line-search trials in tally."""
+    last = math.inf  # squared decrement before the last full step
+    for _ in range(max_iter):
         g, h = problem.barrier_grad_hess(z, t)
         try:
             step = np.linalg.solve(h + problem.reg, -g)
         except np.linalg.LinAlgError:
             step = -g
-        slope = float(g @ step)
-        if -slope / 2.0 <= tol:
-            return z, steps
-        if value is None:
-            value = problem.barrier_value(z, t)
+        decrement = -float(g @ step)
+        if decrement / 2.0 <= tol or decrement >= last:
+            return z
+        tally["newton_steps"] += 1
+        tally["line_search_trials"] += 1
+        if decrement < 1.0 / 16.0 and (problem.slacks(z + step) > 0).all():
+            z, last = z + step, decrement
+            continue
         alpha = 1.0
         for _ in range(60):
-            cand = z + alpha * step
-            cand_value = problem.barrier_value(cand, t)
-            if (cand_value is not None
-                    and cand_value <= value + 0.25 * alpha * slope):
-                z, value = cand, cand_value
+            change = problem.barrier_change(z, alpha * step, t)
+            if change is not None and change <= -0.25 * alpha * decrement:
                 break
             alpha *= 0.5
+            tally["line_search_trials"] += 1
         else:
             raise BarrierStall("line search failed to progress")
-    return z, max_iter
+        z, last = z + alpha * step, math.inf
+    return z
 
 
 def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
@@ -192,7 +203,7 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     target's punishment pinned to zero.  Returns (p, x_vec, objective)
     raw (without the attacked target's utility constant); with
     ``with_info`` a residuals/diagnostics dict is appended.  ``tally``,
-    when given, counts the Newton steps under ``"newton_steps"``.
+    when given, counts ``"newton_steps"`` and ``"line_search_trials"``.
     Raises :class:`Infeasible` when some constraint cannot be met even at
     full coverage and punishment, or when coverage capacity is exhausted.
     """
@@ -245,18 +256,16 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     if not np.all(problem.slacks(z) > 0):
         raise Infeasible("no strictly feasible start: capacity exhausted")
 
-    t = 1.0
-    steps = 0
-    while problem.n_constraints() / t >= BARRIER_EPS:
-        z, taken = _newton_minimize(problem, z, t)
-        steps += taken
-        t *= 2.0
-    t /= 2.0
-    # polish at the final barrier weight so KKT residuals are tight
-    z, taken = _newton_minimize(problem, z, t, tol=1e-14)
-    steps += taken
-    if tally is not None:
-        tally["newton_steps"] += steps
+    n_cons = problem.n_constraints()
+    t_end = n_cons / BARRIER_EPS
+    total = float(problem.costs.sum())
+    t = min(n_cons / total, t_end) if total > 0.0 else t_end
+    tally = Counter() if tally is None else tally
+    while t < t_end:
+        z = _newton_minimize(problem, z, t, tally)
+        t = min(MU * t, t_end)
+    # centre tightly at the final weight so KKT residuals are small
+    z = _newton_minimize(problem, z, t, tally, tol=1e-14)
     pv, xv = problem.split(z)
     for h, pi, xi in zip(hypers, pv, xv):
         p[h.var_p] = min(1.0, max(0.0, pi))
@@ -359,6 +368,7 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
             "subproblems_solved": solved,
             "subproblems_infeasible": infeasible,
             "newton_steps": tally["newton_steps"],
+            "line_search_trials": tally["line_search_trials"],
             "x_star": float(x[star]),
             "residuals": _px_residuals(game, cset, star, p, x),
         },

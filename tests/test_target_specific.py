@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from auditgames.errors import Infeasible, NonpositiveKappa
 from auditgames.fpt import SolveConfig
 from auditgames.model import compute_deltas, validate_game
 from auditgames.target_specific import (
+    BARRIER_EPS,
+    MU,
     HyperbolicConstraint,
     _BarrierProblem,
     _constraint_jacobian,
+    _newton_minimize,
     hyperbolic_to_soc,
     solve_px,
     solve_socp_fixed,
@@ -111,6 +115,7 @@ def test_kkt_stationarity_numeric():
             continue
         checked += 1
         assert info["kkt_residual"] <= 1e-6
+        assert info["duality_gap_bound"] <= BARRIER_EPS
         # cross-check against a numeric gradient of the Lagrangian built
         # from the certified multipliers
         problem = _BarrierProblem(info["hypers"], info["costs"],
@@ -265,14 +270,12 @@ def test_barrier_grad_hess_matches_finite_differences(n_caps):
         problem, z = _random_barrier(rng, m, n_caps)
         t = float(rng.uniform(0.5, 50.0))
         g, h = problem.barrier_grad_hess(z, t)
-        assert problem.barrier_value(z, t) == pytest.approx(
-            t * problem.objective(z) - np.log(problem.slacks(z)).sum())
         for idx in range(2 * m):
-            zp, zm = z.copy(), z.copy()
-            zp[idx] += step
-            zm[idx] -= step
-            fd_g = (problem.barrier_value(zp, t)
-                    - problem.barrier_value(zm, t)) / (2 * step)
+            unit = np.zeros(2 * m)
+            unit[idx] = step
+            zp, zm = z + unit, z - unit
+            fd_g = (problem.barrier_change(z, unit, t)
+                    - problem.barrier_change(z, -unit, t)) / (2 * step)
             fd_h = (problem.barrier_grad_hess(zp, t)[0]
                     - problem.barrier_grad_hess(zm, t)[0]) / (2 * step)
             assert fd_g == pytest.approx(g[idx], rel=1e-5, abs=1e-6)
@@ -314,3 +317,47 @@ def test_px_reports_newton_steps():
     g = rand_game(3, 1, seed=4, a_vec=True)
     sol = solve_px(g, SolveConfig(epsilon=0.2))
     assert sol.details["newton_steps"] >= sol.details["subproblems_solved"] > 0
+    assert sol.details["line_search_trials"] >= sol.details["newton_steps"]
+
+
+def test_barrier_change_matches_direct_difference():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        m = int(rng.integers(1, 6))
+        problem, z = _random_barrier(rng, m, int(rng.integers(0, 4)))
+        t = float(rng.uniform(0.5, 1e3))
+        dz = rng.normal(0.0, 0.3, 2 * m) * 10.0 ** -rng.integers(0, 4)
+        s0, s1 = problem.slacks(z), problem.slacks(z + dz)
+        if not (s1 > 0).all():
+            assert problem.barrier_change(z, dz, t) is None
+            continue
+        direct = (t * (problem.objective(z + dz) - problem.objective(z))
+                  - (np.log(s1).sum() - np.log(s0).sum()))
+        assert problem.barrier_change(z, dz, t) == pytest.approx(
+            direct, rel=1e-9)
+
+
+def test_centred_polish_at_final_weight_is_short():
+    # at t = n / BARRIER_EPS absolute barrier values round to about 1e-8;
+    # a line search on them stalled the tol=1e-14 polish for 80 steps
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        m = int(rng.integers(1, 8))
+        problem, z = _random_barrier(rng, m, int(rng.integers(0, 4)))
+        t_end = problem.n_constraints() / BARRIER_EPS
+        t = problem.n_constraints() / float(problem.costs.sum())
+        tally = Counter()
+        while t < t_end:
+            z = _newton_minimize(problem, z, t, tally)
+            t = min(MU * t, t_end)
+        z = _newton_minimize(problem, z, t, tally)
+        tally.clear()
+        _newton_minimize(problem, z, t, tally, tol=1e-14)
+        assert tally["newton_steps"] < 10
+
+
+def test_px_on_eight_targets_does_not_stall():
+    g = rand_game(8, 2, density=0.2, seed=3, a_vec=True)
+    sol = solve_px(g, SolveConfig(epsilon=0.05))
+    assert sol.details["subproblems_solved"] > 0
+    assert sol.details["line_search_trials"] >= sol.details["newton_steps"]
