@@ -1,9 +1,9 @@
 """Lifting coverage marginals to allocations and mixing into pure audits.
 
-``recover_allocation`` solves the linear feasibility problem that turns a
-coverage vector into a resource-by-target probability matrix: one LP over
-the sparse rows of ``constraints.lift_to_allocation_rows``, solved to the
-LP module's 1e-9 feasibility tolerance.  The
+``recover_allocation`` turns a coverage vector into a resource-by-target
+probability matrix: the max flow of ``constraints.coverage_flow``, whose
+entries are multiples of 2^-45 with row sums at most 1, accepted when the
+coverage it misses is at most the LP module's 1e-9 tolerance.  The
 decomposition then writes that (doubly sub-stochastic) matrix as a convex
 combination of 0/1 assignment matrices: the matrix is padded to a square
 doubly stochastic one with slack blocks, perfect matchings (scipy's
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import lift_to_allocation_rows
+from .constraints import coverage_flow
 from .errors import Infeasible, NumericalResidual
 from .fpt import VERIFY_TOL
-from .lp import solve_feasibility
+from .lp import FEAS_TOL
 from .model import AuditGame
 
 RESIDUAL_TOL = 1e-9
@@ -35,10 +35,6 @@ class AllocationMatrix:
     """k x n matrix; entry (j, i) is the probability resource j audits i."""
 
     entries: np.ndarray
-
-    @property
-    def column_marginals(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -62,13 +58,10 @@ class PureStrategyMixture:
 def recover_allocation(game: AuditGame, p) -> AllocationMatrix:
     """Feasible allocation with column sums p; raises Infeasible outside
     the lifted polytope (a bug sentinel when p came from a solver)."""
-    p = np.asarray(p, dtype=float)
-    rows, bounds = lift_to_allocation_rows(game, np.clip(p, 0.0, 1.0))
-    out = solve_feasibility(rows, bounds)
-    if out.status != "optimal":
-        raise Infeasible("coverage vector is not liftable to an allocation")
-    entries = out.solution.reshape(game.n_resources, game.n_targets)
-    entries = np.where(np.abs(entries) < 1e-13, 0.0, entries)
+    entries, shortfall = coverage_flow(game, p)
+    if shortfall > FEAS_TOL:
+        raise Infeasible("coverage vector is not liftable to an allocation: "
+                         f"{shortfall:.1e} of it has no resource")
     return AllocationMatrix(entries=entries)
 
 

@@ -11,6 +11,11 @@ oracle below checks that via pairwise LP implication.  The solvers take
 C from :func:`coverage_set`, which runs the target-side algorithm while
 it enumerates no more than the 2^k resource subsets would, and the
 resource-side enumeration otherwise.
+
+Each row of C is a Hall inequality of the audit graph, so one max flow,
+:func:`coverage_flow`, decides whether p lifts to an allocation, builds
+that allocation and measures p's worst violation of any row of C
+(max-flow/min-cut).  It is the one membership test of the package.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EnumerationCapExceeded, ResourceCapExceeded
-from .lp import IMPLIES_TOL, implies, solve_feasibility
+from .lp import FEAS_TOL, IMPLIES_TOL, implies
 from .model import AuditGame, audit_sets
 
 NAIVE_RESOURCE_CAP = 22
@@ -59,17 +64,6 @@ class ConstraintSet:
             row[i] = 1.0
             rows.append((row, "<=", 0.0))
         return rows
-
-    def contains(self, p, tol: float = 1e-7) -> bool:
-        p = np.asarray(p, dtype=float)
-        if np.any(p < -tol) or np.any(p > 1 + tol):
-            return False
-        if any(p[i] > tol for i in self.pinned):
-            return False
-        return all(
-            p[list(c.target_indices)].sum() <= c.bound + tol
-            for c in self.constraints
-        )
 
 
 @dataclass(frozen=True)
@@ -268,14 +262,11 @@ def coverage_set(game: AuditGame,
 def prune_implied(cset: ConstraintSet) -> ConstraintSet:
     """Drop constraints already implied by the rest of the set (LP test)."""
     kept = list(cset.constraints)
-    pin_rows = ConstraintSet(
-        cset.n_targets, (), cset.pinned).lp_rows()
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        rows = [(c.coeff_row(cset.n_targets), "<=", float(c.bound)) for c in others]
+        rows = replace(cset, constraints=kept[:i] + kept[i + 1:]).lp_rows()
         target = (kept[i].coeff_row(cset.n_targets), "<=", float(kept[i].bound))
-        if implies(rows + pin_rows, target, cset.n_targets):
+        if implies(rows, target, cset.n_targets):
             kept.pop(i)
         else:
             i += 1
@@ -283,24 +274,11 @@ def prune_implied(cset: ConstraintSet) -> ConstraintSet:
 
 
 def polytopes_equivalent(a: ConstraintSet, b: ConstraintSet, n: int) -> bool:
-    """True iff each set's constraints are implied by the other plus the box."""
-    rows_a = a.lp_rows()
-    rows_b = b.lp_rows()
-    for c in a.constraints:
-        if not implies(rows_b, (c.coeff_row(n), "<=", float(c.bound)), n):
-            return False
-    for c in b.constraints:
-        if not implies(rows_a, (c.coeff_row(n), "<=", float(c.bound)), n):
-            return False
-    # pinned coordinates must agree as well
-    for i in set(a.pinned) | set(b.pinned):
-        row = np.zeros(n)
-        row[i] = 1.0
-        if not implies(rows_b, (row, "<=", 0.0), n):
-            return False
-        if not implies(rows_a, (row, "<=", 0.0), n):
-            return False
-    return True
+    """True iff each set's rows, pinned rows included, are implied by the
+    other set's rows plus the box."""
+    rows_a, rows_b = a.lp_rows(), b.lp_rows()
+    return (all(implies(rows_b, row, n) for row in rows_a)
+            and all(implies(rows_a, row, n) for row in rows_b))
 
 
 @dataclass(frozen=True)
@@ -387,25 +365,65 @@ def allocation_matrix(game: AuditGame):
         shape=(n + k, var.size))
 
 
-def lift_to_allocation_rows(game: AuditGame, p):
-    """LP rows/bounds for the allocation-feasibility system at marginals p.
+def coverage_flow(game: AuditGame, p):
+    """(entries, shortfall) of the max flow source -> target i (capacity
+    p_i, p clipped to the box) -> allowed resource -> sink (capacity 1):
+    the k x n allocation, and sum(p) minus the flow, which by
+    max-flow/min-cut is max over target sets S of p(S) - |N(S)|.
 
-    Variables are the k*n allocation entries (resource-major); restricted
-    pairs are fixed to zero through their bounds.  The rows are one sparse
-    (matrix, rels, rhs) triple: each target's coverage equals p, then each
-    resource's budget is at most 1.
+    scipy's ``maximum_flow`` takes int32 capacities (2^40 as int64 gives
+    flow 0 silently), so round 1 routes floor(p * 2^30) in units of 2^-30
+    and round 2 the rest of floor(p * 2^45) in units of 2^-45 on the
+    residual graph, reverse edges included, capacities clamped at that
+    rest's total L; it tries round 1's pair edges first, for a smaller
+    support.  Entries are multiples of 2^-45, rows sum to at most 1
+    exactly, columns of a liftable p are within 2^-45 of p, and the
+    shortfall is at most n * 2^-45 too high.  At L >= 2^31 round 1 left
+    2^16 - n units unrouted, so p is over (2^16 - 2n) * 2^-30 short, and
+    round 1's shortfall stands.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
     n, k = game.n_targets, game.n_resources
-    rhs = np.concatenate([np.asarray(p, dtype=float), np.ones(k)])
-    bounds = np.column_stack([np.zeros(n * k),
-                              allowed_pairs(game).ravel().astype(float)])
-    return (allocation_matrix(game), ["="] * n + ["<="] * k, rhs), bounds
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    res, tgt = np.nonzero(allowed_pairs(game))
+    if not res.size:
+        return np.zeros((k, n)), float(p.sum())
+    # nodes: source 0, targets 1..n, resources n+1..n+k, sink n+k+1
+    sink = n + k + 1
+    heads = np.concatenate([np.zeros(n, dtype=int), 1 + tgt, 1 + n + res,
+                            1 + n + np.arange(k)])
+    tails = np.concatenate([1 + np.arange(n), 1 + n + res, 1 + tgt,
+                            np.full(k, sink)])
+
+    def route(*caps):  # source, pair, reverse pair and sink capacities
+        graph = csr_array((np.concatenate(caps).astype(np.int32),
+                           (heads, tails)), shape=(sink + 1, sink + 1))
+        flow = maximum_flow(graph, 0, sink).flow[1 + tgt, 1 + n + res]
+        return np.asarray(flow, dtype=np.int64)
+
+    one, full = 1 << 30, 1 << 45
+    flow = route(np.floor(p * one), np.full(res.size, one),
+                 np.zeros(res.size), np.full(k, one)) << 15  # 2^-45 units
+    # bincount sums in float64, exactly: each sum is an integer <= 2^45
+    left = np.floor(p * full) - np.bincount(tgt, flow, n)
+    total = int(left.sum())
+    if 0 < total < 1 << 31:
+        spare, back, sink_spare = (np.minimum(c, total) for c in (
+            full - flow, flow, full - np.bincount(res, flow, k)))
+        more = route(left, np.where(flow > 0, spare, 0), back, sink_spare)
+        if more.sum() < total:
+            more = route(left, spare, back, sink_spare)
+        flow = flow + more
+    entries = np.zeros((k, n))
+    entries[res, tgt] = flow / full
+    return entries, max(0.0, float(p.sum() - entries.sum()))
 
 
 def liftable_to_grid(game: AuditGame, p, tol: float = IMPLIES_TOL) -> bool:
-    """Feasibility-LP check that marginals p extend to a full allocation."""
+    """p lies in the box to ``tol`` and lifts to an allocation."""
     p = np.asarray(p, dtype=float)
     if np.any(p < -tol) or np.any(p > 1 + tol):
         return False
-    rows, bounds = lift_to_allocation_rows(game, np.clip(p, 0.0, 1.0))
-    return solve_feasibility(rows, bounds).status == "optimal"
+    return coverage_flow(game, p)[1] <= FEAS_TOL

@@ -103,7 +103,6 @@ class _ProgramCache:
     def __init__(self, game: AuditGame, cset=None):
         self.game = game
         self.deltas = compute_deltas(game)
-        self.cset = cset
         self.allowed_idx = np.flatnonzero(cx.allowed_pairs(game))
         # target of each grid variable
         self.grid_target = self.allowed_idx % game.n_targets
@@ -292,30 +291,20 @@ def resolve_formulation(game: AuditGame, cfg: SolveConfig):
 
 
 def verify_solution(game: AuditGame, star: int, p, x: float,
-                    cset=None, tol: float = VERIFY_TOL) -> dict:
-    """Residuals of the original program at (p, x); raises on violation."""
+                    tol: float = VERIFY_TOL) -> dict:
+    """Residuals of the original program at (p, x); raises on violation.
+    ``lift`` (see ``coverage_flow``) must stay within FEAS_TOL, the
+    tolerance :func:`alloc.recover_allocation` lifts p to."""
     d = compute_deltas(game)
     p = np.asarray(p, dtype=float)
-    br = 0.0
-    for i in range(game.n_targets):
-        if i == star:
-            continue
-        lhs = (p[i] * (-x - d.delta[i]) + p[star] * (x + d.delta[star])
-               + d.delta_pair[i, star])
-        br = max(br, lhs)
+    lhs = (p * (-x - d.delta) + p[star] * (x + d.delta[star])
+           + d.delta_pair[:, star])
+    br = float(np.delete(lhs, star).max(initial=0.0))
     box = max(0.0, float((-p).max()), float((p - 1).max()))
-    pin = max((p[i] for i in range(game.n_targets) if game.unauditable[i]),
-              default=0.0)
-    residuals = {"best_response": br, "box": box, "pinned": pin,
-                 "x_box": max(0.0, -x, x - 1.0)}
-    if cset is not None:
-        cvio = 0.0
-        for c in cset.constraints:
-            cvio = max(cvio, float(p[list(c.target_indices)].sum() - c.bound))
-        residuals["coverage_set"] = cvio
-    residuals["grid_liftable"] = 0.0 if cx.liftable_to_grid(game, p) else 1.0
-    worst = max(residuals.values())
-    if worst > tol:
+    residuals = {"best_response": br, "box": box,
+                 "x_box": max(0.0, -x, x - 1.0),
+                 "lift": cx.coverage_flow(game, p)[1]}
+    if max(residuals.values()) > tol or residuals["lift"] > FEAS_TOL:
         raise VerificationFailed(
             f"solution for target {star} at x = {x:g} fails verification: "
             f"residuals {residuals}")
@@ -432,7 +421,7 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
         },
     )
     if cfg.verify:
-        sol.details["residuals"] = verify_solution(game, star, p, x, cset)
+        sol.details["residuals"] = verify_solution(game, star, p, x)
     return sol
 
 

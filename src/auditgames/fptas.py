@@ -438,8 +438,7 @@ def apx_candidates(eq: SubproblemEQ, l: int = 20,
 
 
 def recover_full_solution(game: AuditGame, star: int, eq: SubproblemEQ,
-                          p_n: float, x: float,
-                          cset: cx.ConstraintSet | None = None) -> CoverageSolution:
+                          p_n: float, x: float) -> CoverageSolution:
     """Expand a band point into the full coverage vector and verify it.
 
     Active targets take their tight-constraint value, zeroed and pinned
@@ -462,7 +461,7 @@ def recover_full_solution(game: AuditGame, star: int, eq: SubproblemEQ,
             raise DegenerateDenominator(
                 f"target {i}: numerator {num:.3e} over vanishing denominator")
         p[i] = min(1.0, max(0.0, num / den))
-    residuals = verify_solution(game, star, p, x, cset)
+    residuals = verify_solution(game, star, p, x)
     return CoverageSolution(
         p=p, x=x,
         objective=full_objective(game, star, p_n, x),
@@ -507,7 +506,7 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
                                        cache=cache):
                 try:
                     sol = recover_full_solution(game, star, eq, cand.p_n,
-                                                cand.x, cset)
+                                                cand.x)
                     break
                 except (VerificationFailed, DegenerateDenominator):
                     discarded += 1

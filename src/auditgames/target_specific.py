@@ -227,7 +227,7 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     p[star] = p_star
     if not hypers:
         # all constraints vacuous: zero punishments, zero extra coverage
-        if not cset.contains(p):
+        if not cx.liftable_to_grid(game, p):
             raise Infeasible("attacked-target coverage violates capacity")
         raw = p_star * float(d.delta_d[star])
         if with_info:
@@ -370,27 +370,20 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
             "newton_steps": tally["newton_steps"],
             "line_search_trials": tally["line_search_trials"],
             "x_star": float(x[star]),
-            "residuals": _px_residuals(game, cset, star, p, x),
+            "residuals": _px_residuals(game, star, p, x),
         },
     )
 
 
-def _px_residuals(game: AuditGame, cset, star: int, p, x) -> dict:
-    """Constraint residuals of a per-target-punishment solution."""
+def _px_residuals(game: AuditGame, star: int, p, x) -> dict:
+    """Constraint residuals of a per-target-punishment solution; ``lift``
+    is the coverage no allocation can carry (see ``coverage_flow``)."""
     d = compute_deltas(game)
-    br = 0.0
-    for i in range(game.n_targets):
-        if i == star:
-            continue
-        lhs = (p[star] * (x[star] + d.delta[star]) + d.delta_pair[i, star]
-               - p[i] * (x[i] + d.delta[i]))
-        br = max(br, float(lhs))
-    cvio = 0.0
-    for c in cset.constraints:
-        cvio = max(cvio, float(p[list(c.target_indices)].sum() - c.bound))
+    lhs = (p[star] * (x[star] + d.delta[star]) + d.delta_pair[:, star]
+           - p * (x + d.delta))
     return {
-        "best_response": br,
-        "coverage_set": cvio,
+        "best_response": float(np.delete(lhs, star).max(initial=0.0)),
+        "lift": cx.coverage_flow(game, p)[1],
         "box": max(0.0, float((-p).max()), float((p - 1).max()),
                    float((-x).max()), float((x - 1).max())),
         "x_star": float(x[star]),

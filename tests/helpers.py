@@ -24,6 +24,20 @@ def rand_game(n, k, density=0.0, seed=0, cost_a=0.01, a_vec=False,
                          per_target_costs=costs)
 
 
+def in_coverage_set(cset, p, tol=1e-7):
+    """Membership in C, the box and the pinned rows, row by row: the
+    oracle the max-flow lift is checked against."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -tol) or np.any(p > 1 + tol):
+        return False
+    if any(p[i] > tol for i in cset.pinned):
+        return False
+    return all(
+        p[list(c.target_indices)].sum() <= c.bound + tol
+        for c in cset.constraints
+    )
+
+
 def explosion_game(k):
     """The constraint-explosion family: 2k targets; resource j (0-based)
     audits targets {0, 1, 2j, 2j+1}."""

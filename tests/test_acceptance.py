@@ -32,6 +32,7 @@ from auditgames.target_specific import hyperbolic_to_soc, solve_px
 from helpers import (
     brute_force_connected_subsets,
     explosion_game,
+    in_coverage_set,
     rand_game,
     single_resource_grid_oracle,
 )
@@ -72,7 +73,8 @@ def test_criterion_01_polytope_equivalence():
         rng = np.random.default_rng(1000 + seed)
         for _ in range(200):
             p = rng.random(g.n_targets)
-            if cset.contains(p, 1e-7) != cx.liftable_to_grid(g, p, 1e-7):
+            if (in_coverage_set(cset, p, 1e-7)
+                    != cx.liftable_to_grid(g, p, 1e-7)):
                 disagreements += 1
     assert disagreements == 0
     assert time.perf_counter() - start < 120.0

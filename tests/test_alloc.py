@@ -9,10 +9,11 @@ from auditgames.alloc import (
     recover_allocation,
 )
 from auditgames.errors import Infeasible, NumericalResidual
+from auditgames.fpt import SolveConfig, solve_fpt
 from auditgames.lp import solve_feasibility
 from auditgames.model import validate_game
 
-from helpers import rand_game
+from helpers import dense_restriction_game, rand_game
 
 UTIL = (0.6, 0.5, 0.2, 0.3)
 
@@ -62,6 +63,31 @@ def test_recover_infeasible_signals():
     g = validate_game(2, 1, [UTIL, UTIL], cost_a=0.01)
     with pytest.raises(Infeasible):
         recover_allocation(g, [0.9, 0.9])  # sums beyond one resource
+
+
+def test_tight_lift_fills_resources_without_overshoot():
+    # every resource is full (sum p = k): rows may not round above 1
+    for seed in range(3):
+        g = dense_restriction_game(12, 3, seed)
+        p = solve_fpt(g, SolveConfig(epsilon=0.05)).p
+        assert p.sum() == pytest.approx(g.n_resources, abs=1e-9)
+        am = recover_allocation(g, p)
+        assert np.all(am.entries.sum(axis=1) <= 1.0)
+        assert np.abs(am.entries.sum(axis=0) - p).max() <= 1e-12
+        mix = bvn_decompose(am)
+        assert np.abs(mix.column_marginals - p).max() <= 1e-9
+
+
+def test_lift_reroutes_leftover_through_an_unused_edge():
+    # the 2^-32 above 1/2 on target 1 fits only on resource 0, which the
+    # coarse round fills; it reaches the allocation only by moving
+    # target 0's share onto resource 1, an edge the coarse round left empty
+    g = validate_game(3, 2, [UTIL] * 3, [(1, 1)], cost_a=0.01)
+    p = np.array([0.5, 0.5 + 2.0 ** -32, 0.0])
+    am = recover_allocation(g, p)
+    assert np.array_equal(am.entries.sum(axis=0), p)
+    assert np.all(am.entries.sum(axis=1) <= 1.0)
+    assert am.entries[1, 1] == 0.0
 
 
 def test_doubly_stochastic_two_by_two():

@@ -198,13 +198,15 @@ def test_cli_reports_deterministic(tmp_path):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy.optimize and scipy.linalg load on the first LP, not on import
+    # scipy.optimize, scipy.linalg and scipy.sparse load on the first LP or
+    # max flow, not on import
     src = str(Path(auditgames.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, auditgames.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.optimize'))))")
+            "if m.startswith(('scipy.linalg', 'scipy.optimize', "
+            "'scipy.sparse'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -8,6 +8,7 @@ import pytest
 from auditgames.constraints import (
     build_intersection_graph,
     constraint_find,
+    coverage_flow,
     coverage_set,
     enumerate_connected_subgraphs,
     extract_constraints_naive,
@@ -25,6 +26,7 @@ from helpers import (
     brute_force_connected_subsets,
     dense_restriction_game,
     explosion_game,
+    in_coverage_set,
     rand_game,
 )
 
@@ -236,8 +238,15 @@ def test_projection_matches_grid_liftability():
         cset = extract_constraints_naive(g)
         for _ in range(40):
             p = rng.random(g.n_targets)
-            assert cset.contains(p, 1e-7) == liftable_to_grid(g, p), \
+            assert in_coverage_set(cset, p, 1e-7) == liftable_to_grid(g, p), \
                 f"seed {seed} p {p}"
+            # the shortfall is the worst Hall violation: it bounds each
+            # C row and each pinned target's coverage
+            _, shortfall = coverage_flow(g, p)
+            worst = max([p[list(c.target_indices)].sum() - c.bound
+                         for c in cset.constraints]
+                        + [p[i] for i in cset.pinned], default=0.0)
+            assert shortfall >= worst - 1e-12, f"seed {seed} p {p}"
 
 
 def test_extreme_points_are_binary():

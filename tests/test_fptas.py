@@ -331,7 +331,7 @@ def test_band_winners_match_uncached_candidates():
             for cand in fresh:
                 try:
                     recovered = recover_full_solution(g, star, eq, cand.p_n,
-                                                      cand.x, cset)
+                                                      cand.x)
                     break
                 except (VerificationFailed, DegenerateDenominator):
                     continue

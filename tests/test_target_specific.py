@@ -320,6 +320,15 @@ def test_px_reports_newton_steps():
     assert sol.details["line_search_trials"] >= sol.details["newton_steps"]
 
 
+def test_px_reports_lift_residual():
+    # the tsp answer's coverage is checked by the same max flow as fpt's
+    for seed in range(3):
+        g = rand_game(5, 2, density=0.3, seed=30 + seed, a_vec=True)
+        res = solve_px(g, SolveConfig(epsilon=0.1)).details["residuals"]
+        assert set(res) == {"best_response", "lift", "box", "x_star"}
+        assert 0.0 <= res["lift"] <= 1e-9
+
+
 def test_barrier_change_matches_direct_difference():
     rng = np.random.default_rng(13)
     for _ in range(200):
