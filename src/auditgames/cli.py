@@ -209,8 +209,11 @@ def _cmd_solve(args) -> int:
     game = load_game(args.infile, lenient=args.lenient)
     epsilon = args.epsilon if args.epsilon is not None else (
         0.01 if args.method == "tsp" else 0.005)
-    cfg = SolveConfig(epsilon=epsilon, formulation=args.form,
-                      enumeration_cap=args.cap, root_bits=args.root_bits)
+    try:
+        cfg = SolveConfig(epsilon=epsilon, formulation=args.form,
+                          enumeration_cap=args.cap, root_bits=args.root_bits)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.method == "fpt":
         sol = solve_fpt(game, cfg)
     elif args.method == "fptas":
@@ -339,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--epsilon", type=float, default=None,
                    help="grid step (default 0.005; 0.01 for tsp)")
-    p.add_argument("--root-bits", dest="root_bits", type=int, default=20)
+    p.add_argument("--root-bits", dest="root_bits", type=int, default=20,
+                   help="fptas root radius 2^-BITS, BITS in 1..52 "
+                        "(default 20)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("constraints", help="extract coverage constraints")

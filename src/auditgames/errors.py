@@ -44,7 +44,8 @@ class ZeroPolynomial(AuditGamesError):
 
 
 class PrecisionUnachievable(InternalError):
-    """Requested root radius is below what double precision can certify."""
+    """Requested root radius is below 2^-52, past a double's spacing on
+    (0, 1), or two roots lie too close to separate at that radius."""
 
 
 # --- lp ------------------------------------------------------------------

@@ -48,6 +48,8 @@ class SolveConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
             raise ValueError("epsilon must be in (0, 0.5]")
+        if not 1 <= self.root_bits <= 52:
+            raise ValueError("root bits must be in 1..52")
         if self.formulation not in ("grid", "transformed", "auto"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 

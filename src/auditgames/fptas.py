@@ -32,7 +32,14 @@ from .errors import (
 )
 from .fpt import CoverageSolution, SolveConfig, full_objective, verify_solution
 from .model import AuditGame, compute_deltas
-from .poly import Polynomial, derivative, isolate_roots, poly_mul, poly_sub
+from .poly import (
+    Polynomial,
+    derivative,
+    isolate_roots,
+    poly_arith,
+    poly_mul,
+    poly_sub,
+)
 
 ON_CURVE_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -158,9 +165,7 @@ def build_subproblem(game: AuditGame, star: int, j: int,
         for t in members:
             big_d = poly_mul(
                 big_d, Polynomial.from_coeffs((d.delta[t], 1.0)), cap=cap)
-        num = Polynomial.from_coeffs(tuple(float(c.bound) * v
-                                           for v in big_d.coefficients))
-        den = big_d if has_star else Polynomial.from_coeffs((0.0,))
+        num = poly_mul(Polynomial.from_coeffs((c.bound,)), big_d)
         sum_dt = Polynomial.from_coeffs((0.0,))
         for t in members:
             d_t = Polynomial.from_coeffs((1.0,))
@@ -168,15 +173,12 @@ def build_subproblem(game: AuditGame, star: int, j: int,
                 if u != t:
                     d_t = poly_mul(
                         d_t, Polynomial.from_coeffs((d.delta[u], 1.0)), cap=cap)
-            off = d.delta_pair[t, star]
-            num = poly_sub(num, Polynomial.from_coeffs(
-                tuple(off * v for v in d_t.coefficients)))
-            sum_dt = poly_sub(sum_dt, Polynomial.from_coeffs(
-                tuple(-v for v in d_t.coefficients)))
-        den = Polynomial.from_coeffs(tuple(
-            a + b for a, b in _zip_pad(
-                den.coefficients,
-                poly_mul(a_star, sum_dt, cap=cap).coefficients)))
+            off = Polynomial.from_coeffs((d.delta_pair[t, star],))
+            num = poly_sub(num, poly_mul(off, d_t))
+            sum_dt = poly_arith(sum_dt, d_t, "add")
+        den = poly_mul(a_star, sum_dt, cap=cap)
+        if has_star:
+            den = poly_arith(den, big_d, "add")
         if den.is_zero and num.is_zero:
             continue
 
@@ -207,12 +209,6 @@ def build_subproblem(game: AuditGame, star: int, j: int,
         cost_a1=game.cost_a1,
         offsets=d.delta_pair[:, star].copy(),
     )
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0.0), (b[i] if i < len(b) else 0.0)
 
 
 def _objective(eq: SubproblemEQ, game_const: float, p: float, x: float) -> float:
@@ -308,10 +304,10 @@ class _RootCache:
 
     The bands of one target share their coverage rows, band curves and
     most coverage-set rows, so most of their polynomials repeat.  Entries
-    are keyed by coefficient tuple and precision and hold the
+    are keyed by the exact polynomial and precision and hold the
     ``RootApprox`` tuple, or None for the zero polynomial; boundary pairs
-    are also keyed by their four coefficient tuples, so a repeated pair
-    skips building its cross product.
+    are also keyed by their four polynomials, so a repeated pair skips
+    building its cross product.
     """
 
     def __init__(self):
@@ -320,7 +316,7 @@ class _RootCache:
         self.hits = 0
 
     def roots(self, g: Polynomial, l: int):
-        key = (g.coefficients, l)
+        key = (g, l)
         if key in self.found:
             self.hits += 1
             return self.found[key]
@@ -333,8 +329,7 @@ class _RootCache:
         return roots
 
     def crossing_roots(self, b1: Boundary, b2: Boundary, l: int, cap: int):
-        key = (b1.num.coefficients, b1.den.coefficients,
-               b2.num.coefficients, b2.den.coefficients, l)
+        key = (b1.num, b1.den, b2.num, b2.den, l)
         if key in self.found:
             self.hits += 1
             return self.found[key]
@@ -381,11 +376,10 @@ def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int, cap: int,
     """
     conditions = []  # polynomials required >= 0
     for b in eq.boundaries:
-        shifted = poly_sub(b.num, Polynomial.from_coeffs(
-            tuple(p_hat * v for v in b.den.coefficients)))
+        p_den = poly_mul(Polynomial.from_coeffs((p_hat,)), b.den)
+        shifted = poly_sub(b.num, p_den)
         if not b.is_upper:
-            shifted = Polynomial.from_coeffs(
-                tuple(-v for v in shifted.coefficients))
+            shifted = poly_sub(p_den, b.num)
         conditions.append(shifted)
     radius = {0.0: 0.0, 1.0: 0.0}  # cut -> bracket radius
     for g in conditions:

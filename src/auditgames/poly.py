@@ -1,56 +1,78 @@
-"""Dense real polynomials and certified root isolation.
+"""Exact dyadic polynomials and certified root isolation in (0, 1).
 
-Polynomials are stored as coefficient tuples in ascending degree order.
-Root isolation combines a Sturm sequence (for certified root counts over
-an interval) with plain sign bisection (for refinement to a requested
-additive radius ``2**-l``).  Everything runs in double precision; the
-requested precision is capped at 40 bits because Sturm signs become
-unreliable past that point.
+A polynomial is stored as Python ints over one shared power of two, so
+every double coefficient converts exactly and sums, products and
+derivatives are exact.  Roots in (0, 1) are isolated by
+Vincent–Collins–Akritas bisection: Descartes' rule of signs counts the
+roots of each dyadic interval, and exact integer sign tests at dyadic
+points refine each isolated root to an additive ``2**-l``.  No step
+compares a value against a tolerance.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, reduce
 
 from .errors import DegreeCapExceeded, PrecisionUnachievable, ZeroPolynomial
 
-MAX_ROOT_BITS = 40
-WARN_ROOT_BITS = 30
-
-_REL_EPS = 1e-13
-
-
-def _trim(coeffs) -> tuple:
-    """Drop trailing exact zeros; the zero polynomial becomes ``(0.0,)``."""
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    if not coeffs:
-        coeffs = [0.0]
-    return tuple(float(c) for c in coeffs)
+# Dyadic bracket ends past 2^-52 no longer fit a double's significand.
+_MAX_DEPTH = 52
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    coefficients: tuple
+    """``sum(ints[i] * 2**shift * x**i)`` in canonical form: trailing zero
+    coefficients trimmed and the common power of two moved into
+    ``shift``, so equal polynomials compare and hash equal."""
+
+    ints: tuple
+    shift: int
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Polynomial":
-        return cls(_trim(coeffs))
+        ratios = [float(c).as_integer_ratio() for c in coeffs] or [(0, 1)]
+        bits = max(den.bit_length() for _, den in ratios)
+        return _canonical([num << (bits - den.bit_length())
+                           for num, den in ratios], 1 - bits)
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """Float view, ascending degree, each coefficient correctly rounded."""
+        if self.shift >= 0:
+            return tuple(float(c << self.shift) for c in self.ints)
+        den = 1 << -self.shift
+        return tuple(c / den for c in self.ints)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coefficients)
+        return self.ints == (0,)
 
     @property
     def degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return len(self.coefficients) - 1
+        return -1 if self.is_zero else len(self.ints) - 1
 
     def __call__(self, x: float) -> float:
-        return horner(self.coefficients, x)
+        acc = 0.0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+
+def _canonical(ints, shift: int) -> Polynomial:
+    ints = list(ints)
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    low = reduce(operator.or_, ints, 0)
+    if low == 0:
+        return Polynomial((0,), 0)
+    zeros = (low & -low).bit_length() - 1
+    if zeros:
+        ints = [c >> zeros for c in ints]
+    return Polynomial(tuple(ints), shift + zeros)
 
 
 @dataclass(frozen=True)
@@ -66,52 +88,29 @@ class RootApprox:
     sign_change: bool
 
 
-def horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _horner_with_bound(coeffs, x: float):
-    """Evaluate and return (value, running magnitude bound) for zero tests."""
-    acc = 0.0
-    bound = 0.0
-    ax = abs(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        bound = bound * ax + abs(c)
-    return acc, bound
-
-
-def _sign_at(coeffs, x: float) -> int:
-    value, bound = _horner_with_bound(coeffs, x)
-    if abs(value) <= _REL_EPS * max(bound, 1e-300):
-        return 0
-    return 1 if value > 0.0 else -1
-
-
 def poly_arith(p: Polynomial, q: Polynomial, op: str, cap: int | None = None) -> Polynomial:
-    """Exact add/sub/mul in working precision; trailing zeros trimmed."""
-    a, b = p.coefficients, q.coefficients
+    """Exact add/sub/mul; raises DegreeCapExceeded past ``cap``."""
     if op in ("add", "sub"):
-        n = max(len(a), len(b))
-        sign = 1.0 if op == "add" else -1.0
-        out = [0.0] * n
-        for i in range(n):
-            ai = a[i] if i < len(a) else 0.0
-            bi = b[i] if i < len(b) else 0.0
-            out[i] = ai + sign * bi
+        shift = min(p.shift, q.shift)
+        a = [c << (p.shift - shift) for c in p.ints]
+        b = [c << (q.shift - shift) for c in q.ints]
+        if op == "sub":
+            b = [-c for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = a[:]
+        for i, c in enumerate(b):
+            out[i] += c
     elif op == "mul":
-        out = [0.0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0.0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+        shift = p.shift + q.shift
+        out = [0] * (len(p.ints) + len(q.ints) - 1)
+        for i, a in enumerate(p.ints):
+            if a:
+                for j, b in enumerate(q.ints):
+                    out[i + j] += a * b
     else:
         raise ValueError(f"unknown op {op!r}")
-    result = Polynomial.from_coeffs(out)
+    result = _canonical(out, shift)
     if cap is not None and result.degree > cap:
         raise DegreeCapExceeded(f"degree {result.degree} exceeds cap {cap}")
     return result
@@ -126,193 +125,172 @@ def poly_mul(p, q, cap=None):
 
 
 def derivative(p: Polynomial) -> Polynomial:
-    c = p.coefficients
-    if len(c) == 1:
-        return Polynomial.from_coeffs((0.0,))
-    return Polynomial.from_coeffs(tuple(i * c[i] for i in range(1, len(c))))
+    return _canonical([i * c for i, c in enumerate(p.ints)][1:] or [0],
+                      p.shift)
 
 
-def _normalize(coeffs) -> list:
-    m = max(abs(c) for c in coeffs)
-    if m == 0.0:
-        return list(coeffs)
-    return [c / m for c in coeffs]
-
-
-def _poly_divmod(a, b):
-    """Float polynomial division with relative-tolerance coefficient cleanup."""
-    a = list(a)
-    b = list(b)
-    scale = max(abs(c) for c in a + b)
-    q = [0.0] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and any(abs(c) > _REL_EPS * scale for c in r):
-        dr = len(r) - 1
-        coeff = r[-1] / lead
-        q[dr - db] += coeff
-        for i in range(db + 1):
-            r[dr - db + i] -= coeff * b[i]
-        # the leading term cancels by construction
-        r.pop()
-        while len(r) > 1 and abs(r[-1]) <= _REL_EPS * scale:
-            r.pop()
-    if not r:
-        r = [0.0]
-    return q, r
+def _divmod(a: list, b: list):
+    """Exact quotient and remainder of ascending coefficient lists; ``b``
+    has a nonzero leading coefficient, and the zero remainder is ``[]``."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        top = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quot[top] = factor
+        for i, c in enumerate(b):
+            rem[top + i] -= factor * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
 
 
 def sturm_sequence(p: Polynomial) -> list:
-    """Sturm chain of ``p`` with per-step normalization for stability."""
-    chain = [_normalize(p.coefficients)]
+    """Exact Sturm chain of ``p`` as ascending Fraction coefficient lists."""
+    chain = [[Fraction(c) for c in p.ints]]
     d = derivative(p)
-    if d.is_zero:
-        return [tuple(chain[0])]
-    chain.append(_normalize(d.coefficients))
-    while True:
-        last = chain[-1]
-        if len(last) == 1:
+    if not d.is_zero:
+        chain.append([Fraction(c) for c in d.ints])
+    while len(chain) > 1:
+        _, rem = _divmod(chain[-2], chain[-1])
+        if not rem:
             break
-        _, rem = _poly_divmod(chain[-2], last)
-        rem = [-c for c in rem]
-        if len(rem) == 1 and rem[0] == 0.0:
-            break
-        chain.append(_normalize(rem))
-    return [tuple(c) for c in chain]
+        chain.append([-c for c in rem])
+    return chain
 
 
-def sign_variations(chain, x: float) -> int:
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(values) -> int:
+    """Sign changes along ``values``, zeros skipped."""
+    count, last = 0, 0
+    for v in values:
+        sign = (v > 0) - (v < 0)
+        if sign:
+            count += sign == -last
+            last = sign
+    return count
 
 
 def count_roots(chain, lo: float, hi: float) -> int:
     """Number of distinct real roots in (lo, hi] of the chain's polynomial."""
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
+    def variations(x):
+        x = Fraction(x)
+        return _variations(sum(c * x ** i for i, c in enumerate(q))
+                           for q in chain)
+    return variations(lo) - variations(hi)
 
 
-def _poly_gcd(a, b):
-    """Rough float gcd by the Euclidean remainder sequence."""
-    a = _normalize(a)
-    b = _normalize(b)
-    if len(b) > len(a):
-        a, b = b, a
-    while True:
-        if all(c == 0.0 for c in b):
-            return a
-        _, r = _poly_divmod(a, b)
-        if len(r) == 1 and abs(r[0]) <= 1e-10:
-            return b
-        a, b = b, _normalize(r)
-        if len(b) == 1:
-            return b
+def _square_free(a: list) -> list:
+    """Integer multiple of a / gcd(a, a'): the same roots, each simple."""
+    g, h = a, [i * c for i, c in enumerate(a)][1:]
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    quot, _ = _divmod(a, g)
+    scale = math.lcm(*(c.denominator for c in quot))
+    return [int(c * scale) for c in quot]
 
 
-def square_free_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'): same root set, all multiplicities flattened to one."""
-    if p.degree <= 1:
-        return Polynomial.from_coeffs(_normalize(p.coefficients))
-    g = _poly_gcd(p.coefficients, derivative(p).coefficients)
-    if len(g) == 1:
-        return Polynomial.from_coeffs(_normalize(p.coefficients))
-    q, _ = _poly_divmod(_normalize(p.coefficients), g)
-    return Polynomial.from_coeffs(_normalize(q))
+def _taylor_shift(a: list) -> list:
+    """Coefficients of a(x + 1)."""
+    a = a[:]
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
 
-def _nudge_off_root(chain, x: float, direction: float, span: float) -> float:
-    step = span * 2.0 ** -48
-    for _ in range(64):
-        if _sign_at(chain[0], x) != 0:
-            return x
-        x += direction * step
-        step *= 2.0
-    raise PrecisionUnachievable(f"cannot move off a root near x={x}")
+def _sign_at(a: list, num: int, e: int) -> int:
+    """Exact sign of ``a`` at the dyadic point ``num / 2**e``."""
+    acc = 0
+    for j, c in enumerate(reversed(a)):
+        acc = acc * num + (c << (e * j))
+    return (acc > 0) - (acc < 0)
+
+
+def _bisect(a: list, l: int, square_free: bool):
+    """Dyadic brackets ``(lo, hi, e)`` over ``2**e`` of every root of
+    ``a`` in (0, 1), or None when a bracket passes depth ``l`` with two or
+    more sign variations and ``a`` is not known to be square-free.
+
+    Each stack entry ``(q, c, k)`` maps the bracket ``(c, c + 1) / 2**k``
+    onto (0, 1): ``q(x)`` is ``2**(k d) a((c + x) / 2**k)`` with the roots
+    at its left end divided out, so it has the sign of ``a`` on the
+    bracket, and ``q(0)`` is nonzero.
+    """
+    brackets = []
+    stack = [(a, 0, 0)]
+    while stack:
+        q, c, k = stack.pop()
+        count = _variations(_taylor_shift(q[::-1]))
+        if count == 1:
+            brackets.append(_refine(a, q[0] > 0, c, k, l))
+            continue
+        if count == 0:
+            continue
+        if not square_free and k >= min(l + 1, _MAX_DEPTH):
+            return None
+        if k >= _MAX_DEPTH:
+            raise PrecisionUnachievable(
+                f"cannot separate roots near {c / (1 << k)} within 2^-52")
+        d = len(q) - 1
+        left = [v << (d - i) for i, v in enumerate(q)]
+        right = _taylor_shift(left)
+        if right[0] == 0:  # the midpoint is a root
+            e = max(l, k + 1) + 1
+            mid = (2 * c + 1) << (e - k - 1)
+            brackets.append((mid - 1, mid + 1, e))
+            while right[0] == 0:
+                right.pop(0)
+        stack.append((left, 2 * c, k + 1))
+        stack.append((right, 2 * c + 1, k + 1))
+    return brackets
+
+
+def _refine(a: list, left_positive: bool, c: int, k: int, l: int):
+    """Halve the bracket ``(c, c + 1) / 2**k`` of the single root of ``a``
+    until its radius is at most ``2**-l``, stopping early on an exact
+    root at a midpoint."""
+    while k < l - 1:
+        mid = 2 * c + 1
+        sign = _sign_at(a, mid, k + 1)
+        if sign == 0:
+            e = l + 1
+            mid <<= e - k - 1
+            return mid - 1, mid + 1, e
+        c, k = (mid if (sign > 0) == left_positive else 2 * c), k + 1
+    return c, c + 1, k
 
 
 def isolate_roots(p: Polynomial, interval, l: int) -> list:
-    """Isolate every real root of ``p`` in the open interval.
+    """Isolate every real root of ``p`` in the open interval (0, 1).
 
-    Returns one :class:`RootApprox` per distinct root, each certified by a
-    Sturm count and refined by bisection to radius at most ``2**-l``.
-    Roots within working precision of the interval endpoints are excluded
-    (callers cover endpoints through their own corner handling).
+    Returns one :class:`RootApprox` per distinct root, sorted, with radius
+    at most ``2**-l`` (``1 <= l <= 52``).  A root at a dyadic midpoint is
+    returned with radius at most ``2**-(l + 1)``.  ``sign_change`` comes
+    from the exact signs of ``p`` at both bracket ends.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
+    if tuple(map(float, interval)) != (0.0, 1.0):
+        raise ValueError(f"roots are isolated in (0, 1) only, not {interval}")
     if l < 1:
         raise ValueError("l must be >= 1")
-    if l > MAX_ROOT_BITS:
-        warnings.warn(f"root precision capped at {MAX_ROOT_BITS} bits", stacklevel=2)
-        l = MAX_ROOT_BITS
-    elif l > WARN_ROOT_BITS:
-        warnings.warn(
-            f"root precision beyond {WARN_ROOT_BITS} bits is near the double"
-            " precision noise floor", stacklevel=2)
-    radius_target = 2.0 ** -l
-    scale = max(1.0, abs(lo), abs(hi))
-    if radius_target < 4.0 * scale * 2.0 ** -52:
+    if l > _MAX_DEPTH:
         raise PrecisionUnachievable(
-            f"2^-{l} below double spacing on [{lo}, {hi}]")
-
-    p = Polynomial.from_coeffs(p.coefficients)
+            f"2^-{l} is below double spacing on (0, 1)")
     if p.is_zero:
         raise ZeroPolynomial("every point of a zero polynomial is a root")
-    if p.degree == 0:
+    a = list(p.ints)
+    while a[0] == 0:
+        a.pop(0)
+    if len(a) == 1:
         return []
-
-    g = square_free_part(p)
-    if g.degree < 1:
-        return []
-    chain = sturm_sequence(g)
-    span = hi - lo
-
-    a = _nudge_off_root(chain, lo, +1.0, span)
-    b = _nudge_off_root(chain, hi, -1.0, span)
-    if not a < b:
-        return []
-
+    brackets = _bisect(a, l, False)
+    if brackets is None:
+        brackets = _bisect(_square_free(a), l, True)
     roots = []
-    stack = [(a, b, sign_variations(chain, a), sign_variations(chain, b))]
-    while stack:
-        x0, x1, v0, v1 = stack.pop()
-        count = v0 - v1
-        if count <= 0:
-            continue
-        if count == 1 and _sign_at(chain[0], x0) * _sign_at(chain[0], x1) < 0:
-            roots.append(_refine_bracket(p, chain[0], x0, x1, radius_target))
-            continue
-        if x1 - x0 <= 2.0 ** -50 * scale:
-            raise PrecisionUnachievable(
-                f"cannot separate {count} roots near [{x0}, {x1}]")
-        mid = _nudge_off_root(chain, 0.5 * (x0 + x1), +1.0, x1 - x0)
-        if not x0 < mid < x1:
-            raise PrecisionUnachievable(f"interval collapsed near {x0}")
-        vm = sign_variations(chain, mid)
-        stack.append((x0, mid, v0, vm))
-        stack.append((mid, x1, vm, v1))
+    for lo, hi, e in brackets:
+        scale = 1 << (e + 1)
+        roots.append(RootApprox(
+            value=(lo + hi) / scale, radius=(hi - lo) / scale,
+            sign_change=_sign_at(a, lo, e) * _sign_at(a, hi, e) <= 0))
     roots.sort(key=lambda r: r.value)
     return roots
-
-
-def _refine_bracket(p, g_coeffs, a, b, radius_target) -> RootApprox:
-    sa = _sign_at(g_coeffs, a)
-    while (b - a) * 0.5 > radius_target:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        sm = _sign_at(g_coeffs, mid)
-        if sm == 0:
-            # landed on the root: both half-brackets work, keep shrinking
-            half = min(radius_target, 0.25 * (b - a))
-            a, b = mid - half, mid + half
-            break
-        if sm == sa:
-            a = mid
-        else:
-            b = mid
-    value = 0.5 * (a + b)
-    radius = max(0.5 * (b - a), 2.0 ** -52)
-    crosses = p(value - radius) * p(value + radius) <= 0.0
-    return RootApprox(value=value, radius=radius, sign_change=bool(crosses))

@@ -145,6 +145,18 @@ def test_cli_exit_codes(tmp_path):
     assert run(["solve", "--in", str(bad)]) == 1
 
 
+def test_cli_rejects_bad_solve_options(tmp_path, capsys):
+    game_path = tmp_path / "g.json"
+    run(["generate", "--targets", "4", "--resources", "2", "--group", "1",
+         "--out", str(game_path)])
+    capsys.readouterr()
+    for option in (["--epsilon", "0"], ["--root-bits", "0"],
+                   ["--root-bits", "53"]):
+        assert run(["solve", "--in", str(game_path), "--method", "fptas",
+                    "--out", str(tmp_path / "r.json")] + option) == 1, option
+        assert "error:" in capsys.readouterr().err, option
+
+
 def test_cli_decompose_closes_loop(tmp_path):
     game_path = tmp_path / "g.json"
     run(["generate", "--targets", "8", "--resources", "4", "--group", "2",

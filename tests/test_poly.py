@@ -1,9 +1,15 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from auditgames.errors import DegreeCapExceeded, ZeroPolynomial
+from auditgames.errors import (
+    DegreeCapExceeded,
+    PrecisionUnachievable,
+    ZeroPolynomial,
+)
 from auditgames.poly import (
     Polynomial,
     count_roots,
@@ -25,11 +31,19 @@ def from_roots(roots, scale=1.0):
 
 def test_difference_of_squares():
     assert poly_mul(P((1.0, 1.0)), P((-1.0, 1.0))).coefficients == (-1.0, 0.0, 1.0)
+    # scaling by a constant gives the canonical form of the plain product
+    scaled = poly_mul(P((0.5,)), P((2.0, 4.0)))
+    assert scaled == P((1.0, 2.0))
+    assert hash(scaled) == hash(P((1.0, 2.0)))
 
 
 def test_expansion():
     got = poly_mul(P((0.3, 1.0)), P((0.7, 1.0)))
     assert np.allclose(got.coefficients, (0.21, 1.0, 1.0))
+    exact = poly_mul(P((0.1, 1.0)), P((0.2, 1.0)))
+    a, b = Fraction(0.1), Fraction(0.2)
+    assert [Fraction(c) * Fraction(2) ** exact.shift
+            for c in exact.ints] == [a * b, a + b, 1]
 
 
 def test_degree_cap():
@@ -67,6 +81,14 @@ def test_even_multiplicity_touch_root():
     assert len(roots) == 1
     assert abs(roots[0].value - 0.4) <= 2.0 ** -18  # sqfree flattening costs bits
     assert not roots[0].sign_change
+    # dyadic roots that bisection hits exactly at a midpoint
+    for planted, touches in (([0.5, 0.5], True), ([0.5, 0.5, 0.5], False),
+                             ([0.25, 0.5], False)):
+        roots = isolate_roots(from_roots(planted), (0.0, 1.0), 20)
+        assert [r.value for r in roots] == sorted(set(planted))
+        for r in roots:
+            assert 0.0 < r.radius <= 2.0 ** -20
+            assert r.sign_change is not touches
 
 
 def test_sturm_count_matches_numpy_roots():
@@ -100,8 +122,16 @@ def test_bracketing_invariant():
             assert lo * hi <= 0.0 or not root.sign_change
 
 
-def test_precision_warning_beyond_30_bits():
-    with pytest.warns(UserWarning):
-        isolate_roots(P((-0.25, 0.0, 1.0)), (0.0, 1.0), 35)
-    with pytest.warns(UserWarning):
-        isolate_roots(P((-0.25, 0.0, 1.0)), (0.0, 1.0), 45)
+def test_precision_up_to_52_bits():
+    planted = [0.1, 0.3, 0.30001, 0.85]
+    p = from_roots(planted + [1.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for l in (45, 52):
+            roots = isolate_roots(p, (0.0, 1.0), l)
+            assert len(roots) == len(planted)
+            for want, got in zip(planted, roots):
+                assert got.radius <= 2.0 ** -l
+                assert abs(got.value - want) <= 2.0 ** -l
+    with pytest.raises(PrecisionUnachievable):
+        isolate_roots(p, (0.0, 1.0), 53)
