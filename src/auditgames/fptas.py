@@ -39,6 +39,7 @@ from .poly import (
     poly_arith,
     poly_mul,
     poly_sub,
+    primitive_part,
 )
 
 ON_CURVE_TOL = 1e-9
@@ -109,81 +110,123 @@ def sort_deltas(game: AuditGame, star: int) -> tuple:
     return tuple(others[k] for k in np.argsort(keys, kind="stable"))
 
 
-def build_subproblem(game: AuditGame, star: int, j: int,
-                     cset: cx.ConstraintSet) -> SubproblemEQ:
-    """Boundaries of band ``j``: coverage caps of the substituted targets,
-    pinned-target rows, the closed strict band curve, the band lower bound,
-    and every coverage-set constraint after substitution."""
-    d = compute_deltas(game)
-    order = sort_deltas(game, star)
-    if not 0 <= j <= len(order):
-        raise ValueError(f"band index {j} out of range")
-    zeroed = order[:j]
-    active = order[j:]
-    a_star = Polynomial.from_coeffs((d.delta[star], 1.0))  # x + D_star
-    cap = 2 * game.n_targets + 4
-    boundaries = []
+class _TargetAlgebra:
+    """The boundaries of one attacked target, each built once.
 
-    for i in active:
-        offset = d.delta_pair[i, star]
-        if game.unauditable[i]:
-            # pinned coverage: p (x + D_star) + offset <= 0
-            boundaries.append(Boundary(
-                num=Polynomial.from_coeffs((-offset,)),
-                den=a_star, origin=f"pinned_row:{i}"))
-        else:
-            # p_(i) <= 1  <=>  p (x + D_star) <= x + D_i - offset
-            boundaries.append(Boundary(
-                num=Polynomial.from_coeffs((d.delta[i] - offset, 1.0)),
-                den=a_star, origin=f"coverage_row:{i}"))
+    Band ``j`` substitutes the targets ``order[j:]``.  Its coverage and
+    pinned rows, its two band curves and most of its substituted
+    coverage-set rows recur in the neighbouring bands, so each is built on
+    first use and the same object is handed to every later band.
+    """
 
-    open_lower = None
-    if j >= 1:
-        off = d.delta_pair[order[j - 1], star]
-        open_lower = Boundary(
-            num=Polynomial.from_coeffs((-off,)), den=a_star,
-            origin="band-lower-closed", open_strict=True)
-        boundaries.append(open_lower)
+    def __init__(self, game: AuditGame, star: int, cset: cx.ConstraintSet):
+        self.game, self.star, self.cset = game, star, cset
+        self.d = d = compute_deltas(game)
+        self.order = sort_deltas(game, star)
+        self.a_star = Polynomial.from_coeffs((d.delta[star], 1.0))  # x + D_star
+        self.cap = 2 * game.n_targets + 4
+        self.rows = {}
+        self.curves = {}
+        self.set_rows = {}
+        self.cleared = {(): (Polynomial.from_coeffs((1.0,)),
+                             Polynomial.from_coeffs((0.0,)),
+                             Polynomial.from_coeffs((0.0,)))}
+        self.position = position = {t: k for k, t in enumerate(self.order)}
+        # per constraint: whether it holds the star, and its auditable
+        # non-star members with their place in ``order``; band j keeps the
+        # members placed at j or later
+        self.placed = [
+            (star in c.target_indices,
+             [(t, position[t]) for t in c.target_indices
+              if t != star and not game.unauditable[t]])
+            for c in cset.constraints]
 
-    band_lower = None
-    if j <= len(order) - 1:
-        off = d.delta_pair[order[j], star]
-        band_lower = Boundary(
-            num=Polynomial.from_coeffs((-off,)), den=a_star,
-            origin="band-upper", is_upper=False)
-        boundaries.append(band_lower)
+    def serves(self, game: AuditGame, star: int, cset) -> bool:
+        return self.game is game and self.star == star and self.cset is cset
 
-    active_set = set(active)
-    for cid, c in enumerate(cset.constraints):
-        members = [t for t in c.target_indices
-                   if t in active_set and not game.unauditable[t]]
-        has_star = star in c.target_indices
-        if not members and not has_star:
-            continue  # every member substitutes to zero
-        # clear denominators: multiply by prod_t (x + D_t) over members
-        big_d = Polynomial.from_coeffs((1.0,))
-        for t in members:
-            big_d = poly_mul(
-                big_d, Polynomial.from_coeffs((d.delta[t], 1.0)), cap=cap)
-        num = poly_mul(Polynomial.from_coeffs((c.bound,)), big_d)
-        sum_dt = Polynomial.from_coeffs((0.0,))
-        for t in members:
-            d_t = Polynomial.from_coeffs((1.0,))
-            for u in members:
-                if u != t:
-                    d_t = poly_mul(
-                        d_t, Polynomial.from_coeffs((d.delta[u], 1.0)), cap=cap)
-            off = Polynomial.from_coeffs((d.delta_pair[t, star],))
-            num = poly_sub(num, poly_mul(off, d_t))
-            sum_dt = poly_arith(sum_dt, d_t, "add")
-        den = poly_mul(a_star, sum_dt, cap=cap)
+    def row(self, i: int) -> Boundary:
+        """Coverage cap of substituted target ``i``, or its pinned row."""
+        b = self.rows.get(i)
+        if b is None:
+            d, star = self.d, self.star
+            offset = d.delta_pair[i, star]
+            if self.game.unauditable[i]:
+                # pinned coverage: p (x + D_star) + offset <= 0
+                b = Boundary(num=Polynomial.from_coeffs((-offset,)),
+                             den=self.a_star, origin=f"pinned_row:{i}")
+            else:
+                # p_(i) <= 1  <=>  p (x + D_star) <= x + D_i - offset
+                b = Boundary(
+                    num=Polynomial.from_coeffs((d.delta[i] - offset, 1.0)),
+                    den=self.a_star, origin=f"coverage_row:{i}")
+            self.rows[i] = b
+        return b
+
+    def curve(self, k: int, lower_side: bool) -> Boundary:
+        """Band curve ``p (x + D_star) + offset(order[k]) = 0``: the closed
+        strict lower curve of band k + 1, or the lower bound of band k.
+        Targets with tied offsets share their curves."""
+        off = self.d.delta_pair[self.order[k], self.star]
+        b = self.curves.get((off, lower_side))
+        if b is None:
+            num = Polynomial.from_coeffs((-off,))
+            if lower_side:
+                b = Boundary(num=num, den=self.a_star,
+                             origin="band-lower-closed", open_strict=True)
+            else:
+                b = Boundary(num=num, den=self.a_star, origin="band-upper",
+                             is_upper=False)
+            self.curves[(off, lower_side)] = b
+        return b
+
+    def set_row(self, cid: int, members: tuple, has_star: bool):
+        """Coverage-set row ``cid`` after substituting ``members``, or None
+        when it is void."""
+        key = (cid, members, has_star)
+        if key not in self.set_rows:
+            self.set_rows[key] = self._build_set_row(cid, members, has_star)
+        return self.set_rows[key]
+
+    def _cleared(self, members: tuple):
+        """``(big_d, sum_dt, off_dt)`` over ``members``: ``big_d`` is
+        prod_t (x + D_t), ``sum_dt`` is sum_t big_d / (x + D_t) and
+        ``off_dt`` is sum_t offset_t big_d / (x + D_t).
+
+        Dropping the member placed first in ``order`` gives the member set
+        of a later band, so each set is one leg added to a set already
+        built: O(1) products per set.
+        """
+        chain = []
+        while members not in self.cleared:
+            first = min(members, key=self.position.__getitem__)
+            chain.append((members, first))
+            members = tuple(t for t in members if t != first)
+        big_d, sum_dt, off_dt = self.cleared[members]
+        for members, first in reversed(chain):
+            leg = Polynomial.from_coeffs((self.d.delta[first], 1.0))
+            off = Polynomial.from_coeffs((self.d.delta_pair[first, self.star],))
+            sum_dt = poly_arith(poly_mul(sum_dt, leg, cap=self.cap), big_d, "add")
+            off_dt = poly_arith(poly_mul(off_dt, leg, cap=self.cap),
+                                poly_mul(off, big_d), "add")
+            big_d = poly_mul(big_d, leg, cap=self.cap)
+            self.cleared[members] = big_d, sum_dt, off_dt
+        return big_d, sum_dt, off_dt
+
+    def _build_set_row(self, cid: int, members: tuple, has_star: bool):
+        d, star = self.d, self.star
+        c = self.cset.constraints[cid]
+        # clear denominators: multiply by prod_t (x + D_t) over the members
+        big_d, sum_dt, off_dt = self._cleared(members)
+        num = poly_sub(poly_mul(Polynomial.from_coeffs((c.bound,)), big_d),
+                       off_dt)
+        den = poly_mul(self.a_star, sum_dt, cap=self.cap)
         if has_star:
             den = poly_arith(den, big_d, "add")
         if den.is_zero and num.is_zero:
-            continue
+            return None
 
-        def _direct(x, members=tuple(members), bound=float(c.bound),
-                    has_star=has_star, ds=float(d.delta[star]),
+        def _direct(x, bound=float(c.bound), has_star=has_star,
+                    ds=float(d.delta[star]),
                     deltas=tuple(float(d.delta[t]) for t in members),
                     offs=tuple(float(d.delta_pair[t, star]) for t in members)):
             s1 = s2 = 0.0
@@ -195,12 +238,48 @@ def build_subproblem(game: AuditGame, star: int, j: int,
                 s2 += off / leg
             return bound - s2, (1.0 if has_star else 0.0) + (x + ds) * s1
 
-        boundaries.append(Boundary(num=num, den=den, origin=f"setC:{cid}",
-                                   eval_fn=_direct))
+        return Boundary(num=num, den=den, origin=f"setC:{cid}",
+                        eval_fn=_direct)
+
+
+def build_subproblem(game: AuditGame, star: int, j: int,
+                     cset: cx.ConstraintSet,
+                     cache: "_RootCache | None" = None) -> SubproblemEQ:
+    """Boundaries of band ``j``: coverage caps of the substituted targets,
+    pinned-target rows, the closed strict band curve, the band lower bound,
+    and every coverage-set constraint after substitution.
+
+    ``cache`` is the attacked target's :class:`_RootCache`; it keeps the
+    target's :class:`_TargetAlgebra`, so each boundary is built once per
+    target and recurs as the same object in every band that has it.
+    Without it the band is built from scratch, with equal polynomials.
+    """
+    if cache is None:
+        algebra = _TargetAlgebra(game, star, cset)
+    else:
+        algebra = cache.algebra_for(game, star, cset)
+    d, order = algebra.d, algebra.order
+    if not 0 <= j <= len(order):
+        raise ValueError(f"band index {j} out of range")
+    boundaries = [algebra.row(i) for i in order[j:]]
+    open_lower = band_lower = None
+    if j >= 1:
+        open_lower = algebra.curve(j - 1, True)
+        boundaries.append(open_lower)
+    if j <= len(order) - 1:
+        band_lower = algebra.curve(j, False)
+        boundaries.append(band_lower)
+    for cid, (has_star, placed) in enumerate(algebra.placed):
+        members = tuple(t for t, k in placed if k >= j)
+        if not members and not has_star:
+            continue  # every member substitutes to zero
+        b = algebra.set_row(cid, members, has_star)
+        if b is not None:
+            boundaries.append(b)
 
     return SubproblemEQ(
-        star=star, j=j, order=order, active=tuple(active),
-        zeroed=tuple(zeroed), boundaries=tuple(boundaries),
+        star=star, j=j, order=order, active=tuple(order[j:]),
+        zeroed=tuple(order[:j]), boundaries=tuple(boundaries),
         open_lower=open_lower, band_lower=band_lower,
         star_pinned=bool(game.unauditable[star]),
         delta_star=float(d.delta[star]),
@@ -300,23 +379,51 @@ def make_feasible(candidates, eq: SubproblemEQ, game_const: float = 0.0):
 
 
 class _RootCache:
-    """Root brackets in (0, 1) of one attacked target's polynomials.
+    """Root brackets and boundary algebra of one attacked target.
 
-    The bands of one target share their coverage rows, band curves and
-    most coverage-set rows, so most of their polynomials repeat.  Entries
-    are keyed by the exact polynomial and precision and hold the
-    ``RootApprox`` tuple, or None for the zero polynomial; boundary pairs
-    are also keyed by their four polynomials, so a repeated pair skips
-    building its cross product.
+    ``build_subproblem`` keeps the target's :class:`_TargetAlgebra` here,
+    so the bands share boundary objects.  Each distinct ``(num, den)``
+    gets a small id, and root requests are answered at three levels:
+
+    - per boundary id: its stationary points, and its condition at a
+      fixed coverage;
+    - per pair of ids: the pair's crossings, where ``n1 d2 - n2 d1``
+      vanishes.  Its terms are kept per (boundary, denominator), since
+      one row meets every coverage row over the same ``x + D_star``.  Two
+      boundaries over one denominator cross where ``(n1 - n2) den``
+      vanishes, so that product is looked up by the primitive part of
+      ``n1 - n2`` before it is built;
+    - per polynomial: keyed by its primitive part and the precision,
+      since ``isolate_roots`` gives ``c * g`` and ``g`` the same brackets.
+      The entry is the ``RootApprox`` tuple, or None for zero.
+
+    Every request counts once: as an isolation, or as a hit.
     """
 
     def __init__(self):
+        self.algebra = None
         self.found = {}
+        self.ids = {}
+        self.stationary = {}
+        self.fixed_p = {}
+        self.crossings = {}
+        self.shared = {}
+        self.terms = {}
         self.isolated = 0
         self.hits = 0
 
+    def algebra_for(self, game: AuditGame, star: int, cset) -> _TargetAlgebra:
+        if self.algebra is None:
+            self.algebra = _TargetAlgebra(game, star, cset)
+        elif not self.algebra.serves(game, star, cset):
+            raise ValueError("a root cache serves one attacked target")
+        return self.algebra
+
+    def boundary_id(self, b: Boundary) -> int:
+        return self.ids.setdefault((b.num, b.den), len(self.ids))
+
     def roots(self, g: Polynomial, l: int):
-        key = (g, l)
+        key = (primitive_part(g), l)
         if key in self.found:
             self.hits += 1
             return self.found[key]
@@ -328,29 +435,58 @@ class _RootCache:
         self.found[key] = roots
         return roots
 
-    def crossing_roots(self, b1: Boundary, b2: Boundary, l: int, cap: int):
-        key = (b1.num, b1.den, b2.num, b2.den, l)
-        if key in self.found:
+    def _term(self, b: Boundary, bid: int, den: Polynomial, cap: int):
+        """``b.num * den``, where ``bid`` is the id of ``b``."""
+        key = (bid, den)
+        term = self.terms.get(key)
+        if term is None:
+            term = self.terms[key] = poly_mul(b.num, den, cap=cap)
+        return term
+
+    def crossing_points(self, b1: Boundary, id1: int, b2: Boundary,
+                        id2: int, l: int, cap: int) -> tuple:
+        """Bracket points of the crossings of boundaries ``b1`` and ``b2``,
+        whose ids are ``id1`` and ``id2``."""
+        if id2 < id1:
+            b1, id1, b2, id2 = b2, id2, b1, id1
+        key = (id1, id2, l)
+        if key in self.crossings:
             self.hits += 1
-            return self.found[key]
-        cross = poly_sub(poly_mul(b1.num, b2.den, cap=cap),
-                         poly_mul(b2.num, b1.den, cap=cap))
-        roots = self.found[key] = self.roots(cross, l)
-        return roots
+            return self.crossings[key]
+        if b1.den == b2.den:
+            diff = poly_sub(b1.num, b2.num)
+            shared = (b1.den, primitive_part(diff), l)
+            if shared in self.shared:
+                self.hits += 1
+                roots = self.shared[shared]
+            else:
+                roots = self.shared[shared] = self.roots(
+                    poly_mul(diff, b1.den, cap=cap), l)
+        else:
+            roots = self.roots(poly_sub(self._term(b1, id1, b2.den, cap),
+                                        self._term(b2, id2, b1.den, cap)), l)
+        points = self.crossings[key] = _bracket_points(roots)
+        return points
 
 
-def _bracket_points(roots):
+def _bracket_points(roots) -> tuple:
     """Each root's midpoint, then both ends of its bracket within [0, 1]:
     the midpoint can sit just outside a boundary the root bounds."""
+    points = []
     for r in roots or ():
-        yield r.value
-        yield max(0.0, r.value - r.radius)
-        yield min(1.0, r.value + r.radius)
+        points += (r.value, max(0.0, r.value - r.radius),
+                   min(1.0, r.value + r.radius))
+    return tuple(points)
 
 
-def _stationary_roots(eq: SubproblemEQ, b: Boundary, l: int, cap: int,
-                      cache: _RootCache):
-    """Roots of d/dx [ (num/den)(D_D - a1 x) - a x ] cleared by den^2."""
+def _stationary_roots(eq: SubproblemEQ, b: Boundary, bid: int, l: int,
+                      cap: int, cache: _RootCache) -> tuple:
+    """Roots of d/dx [ (num/den)(D_D - a1 x) - a x ] cleared by den^2,
+    as bracket points; ``bid`` is the boundary's id in ``cache``."""
+    key = (bid, eq.delta_d_star, eq.cost_a1, eq.cost_a, l)
+    if key in cache.stationary:
+        cache.hits += 1
+        return cache.stationary[key]
     num, den = b.num, b.den
     dnum, dden = derivative(num), derivative(den)
     wronskian = poly_sub(poly_mul(dnum, den, cap=cap),
@@ -361,11 +497,29 @@ def _stationary_roots(eq: SubproblemEQ, b: Boundary, l: int, cap: int,
                           poly_mul(num, den, cap=cap), cap=cap))
     g = poly_sub(g, poly_mul(Polynomial.from_coeffs((eq.cost_a,)),
                              poly_mul(den, den, cap=cap), cap=cap))
-    return _bracket_points(cache.roots(g, l))
+    points = cache.stationary[key] = _bracket_points(cache.roots(g, l))
+    return points
 
 
-def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int, cap: int,
+def _fixed_p_condition(b: Boundary, bid: int, p_hat: float, l: int,
                        cache: _RootCache):
+    """``b`` at coverage ``p_hat`` as a polynomial required >= 0, with
+    its roots; ``bid`` is the boundary's id in ``cache``."""
+    key = (bid, b.is_upper, p_hat, l)
+    if key in cache.fixed_p:
+        cache.hits += 1
+        return cache.fixed_p[key]
+    p_den = poly_mul(Polynomial.from_coeffs((p_hat,)), b.den)
+    if b.is_upper:
+        g = poly_sub(b.num, p_den)
+    else:
+        g = poly_sub(p_den, b.num)
+    found = cache.fixed_p[key] = (g, cache.roots(g, l))
+    return found
+
+
+def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int,
+                       cache: _RootCache, ids: list):
     """Left endpoints of the feasible x-intervals at coverage ``p_hat``.
 
     Every boundary and both band conditions become univariate polynomial
@@ -375,15 +529,11 @@ def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int, cap: int,
     feasible side of the root when the midpoint does not.
     """
     conditions = []  # polynomials required >= 0
-    for b in eq.boundaries:
-        p_den = poly_mul(Polynomial.from_coeffs((p_hat,)), b.den)
-        shifted = poly_sub(b.num, p_den)
-        if not b.is_upper:
-            shifted = poly_sub(p_den, b.num)
-        conditions.append(shifted)
     radius = {0.0: 0.0, 1.0: 0.0}  # cut -> bracket radius
-    for g in conditions:
-        for r in cache.roots(g, l) or ():
+    for b, bid in zip(eq.boundaries, ids):
+        g, roots = _fixed_p_condition(b, bid, p_hat, l, cache)
+        conditions.append(g)
+        for r in roots or ():
             radius[r.value] = max(radius.get(r.value, 0.0), r.radius)
     cuts = sorted(radius)
     lefts = []
@@ -403,28 +553,29 @@ def apx_candidates(eq: SubproblemEQ, l: int = 20,
 
     Candidates: the four domain corners, minimum-x solves at fixed
     coverage 0 and 1, stationary points of the objective along every
-    boundary, and all pairwise boundary intersections.  ``cache`` shares
-    root isolations between the bands of one attacked target.
+    boundary, and all pairwise boundary intersections.  ``cache`` serves
+    one attacked target and shares its root requests between its bands.
     """
     if cache is None:
         cache = _RootCache()
     cap = 2 * max(4, len(eq.order) + 1) + 4
+    bounds = eq.boundaries
+    ids = [cache.boundary_id(b) for b in bounds]
     raw = [(0.0, None, "corner:x=0"), (1.0, None, "corner:x=1")]
     for p_hat in (0.0, 1.0):
-        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cap, cache):
+        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cache, ids):
             raw.append((x_left, p_hat, f"corner:p={p_hat:g}"))
             raw.append((x_left, None, f"corner:p={p_hat:g}+proj"))
-    for b in eq.boundaries:
-        for x in _stationary_roots(eq, b, l, cap, cache):
-            raw.append((x, None, f"single-boundary({b.origin})"))
-    bounds = eq.boundaries
-    for i in range(len(bounds)):
-        for k in range(i + 1, len(bounds)):
-            crossings = cache.crossing_roots(bounds[i], bounds[k], l, cap)
-            for x in _bracket_points(crossings):
-                raw.append(
-                    (x, None,
-                     f"intersection({bounds[i].origin},{bounds[k].origin})"))
+    for b, bid in zip(bounds, ids):
+        provenance = f"single-boundary({b.origin})"
+        for x in _stationary_roots(eq, b, bid, l, cap, cache):
+            raw.append((x, None, provenance))
+    for i, (b1, id1) in enumerate(zip(bounds, ids)):
+        for b2, id2 in zip(bounds[i + 1:], ids[i + 1:]):
+            points = cache.crossing_points(b1, id1, b2, id2, l, cap)
+            if points:
+                provenance = f"intersection({b1.origin},{b2.origin})"
+                raw.extend((x, None, provenance) for x in points)
     candidates = make_feasible(raw, eq, game_const)
     feasible = [c for c in candidates if c.feasible]
     feasible.sort(key=lambda c: (-c.objective, c.x))
@@ -482,7 +633,7 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     isolated = hits = 0
     for star in range(game.n_targets):
         const = game.utilities[star][1]
-        cache = _RootCache()  # the bands of one target share polynomials
+        cache = _RootCache()  # the bands of one target share their algebra
         order = sort_deltas(game, star)
         offs = [d.delta_pair[i, star] for i in order]
         for j in range(len(order) + 1):
@@ -490,7 +641,7 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
                 continue  # band needs p (x + D_star) < -offset <= 0: empty
             if 1 <= j <= len(order) - 1 and offs[j - 1] == offs[j]:
                 continue  # tied offsets leave no room between the curves
-            eq = build_subproblem(game, star, j, cset)
+            eq = build_subproblem(game, star, j, cset, cache)
             sol = None
             cand = None
             # a candidate within rounding of a band edge can recover

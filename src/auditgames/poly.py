@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import zip_longest
 
 from .errors import DegreeCapExceeded, PrecisionUnachievable, ZeroPolynomial
 
@@ -31,6 +32,13 @@ class Polynomial:
 
     ints: tuple
     shift: int
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ints, self.shift))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Polynomial":
@@ -62,13 +70,16 @@ class Polynomial:
         return acc
 
 
-def _canonical(ints, shift: int) -> Polynomial:
-    ints = list(ints)
+_ZERO = Polynomial((0,), 0)
+
+
+def _canonical(ints: list, shift: int) -> Polynomial:
+    """Canonical form of ``ints * 2**shift``; trims ``ints`` in place."""
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
     low = reduce(operator.or_, ints, 0)
     if low == 0:
-        return Polynomial((0,), 0)
+        return _ZERO
     zeros = (low & -low).bit_length() - 1
     if zeros:
         ints = [c >> zeros for c in ints]
@@ -89,28 +100,41 @@ class RootApprox:
 
 
 def poly_arith(p: Polynomial, q: Polynomial, op: str, cap: int | None = None) -> Polynomial:
-    """Exact add/sub/mul; raises DegreeCapExceeded past ``cap``."""
+    """Exact add/sub/mul; raises DegreeCapExceeded past ``cap``.
+
+    A product of two canonical nonzero polynomials is already canonical:
+    its leading coefficient is nonzero, and modulo 2 both factors are
+    nonzero in GF(2)[x], which has no zero divisors, so some coefficient
+    of the product is odd.
+    """
     if op in ("add", "sub"):
         shift = min(p.shift, q.shift)
-        a = [c << (p.shift - shift) for c in p.ints]
-        b = [c << (q.shift - shift) for c in q.ints]
-        if op == "sub":
-            b = [-c for c in b]
+        a = p.ints if p.shift == shift else [c << (p.shift - shift)
+                                             for c in p.ints]
+        b = q.ints if q.shift == shift else [c << (q.shift - shift)
+                                             for c in q.ints]
+        if op == "add":
+            out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        else:
+            out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+        result = _canonical(out, shift)
+    elif op == "mul":
+        if p.is_zero or q.is_zero:
+            return _ZERO
+        a, b = p.ints, q.ints
         if len(a) < len(b):
             a, b = b, a
-        out = a[:]
-        for i, c in enumerate(b):
-            out[i] += c
-    elif op == "mul":
-        shift = p.shift + q.shift
-        out = [0] * (len(p.ints) + len(q.ints) - 1)
-        for i, a in enumerate(p.ints):
-            if a:
-                for j, b in enumerate(q.ints):
-                    out[i + j] += a * b
+        if len(b) == 1:
+            out = [c * b[0] for c in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+        result = Polynomial(tuple(out), p.shift + q.shift)
     else:
         raise ValueError(f"unknown op {op!r}")
-    result = _canonical(out, shift)
     if cap is not None and result.degree > cap:
         raise DegreeCapExceeded(f"degree {result.degree} exceeds cap {cap}")
     return result
@@ -122,6 +146,18 @@ def poly_sub(p, q, cap=None):
 
 def poly_mul(p, q, cap=None):
     return poly_arith(p, q, "mul", cap)
+
+
+def primitive_part(p: Polynomial) -> tuple:
+    """The integers of ``p`` over their gcd, the leading one positive:
+    the same for ``p`` and ``c * p`` at every nonzero c, ``(0,)`` for zero."""
+    ints = p.ints
+    div = math.gcd(*ints)
+    if ints[-1] < 0:
+        div = -div
+    if div in (0, 1):
+        return ints
+    return tuple(c // div for c in ints)
 
 
 def derivative(p: Polynomial) -> Polynomial:
@@ -267,7 +303,9 @@ def isolate_roots(p: Polynomial, interval, l: int) -> list:
     Returns one :class:`RootApprox` per distinct root, sorted, with radius
     at most ``2**-l`` (``1 <= l <= 52``).  A root at a dyadic midpoint is
     returned with radius at most ``2**-(l + 1)``.  ``sign_change`` comes
-    from the exact signs of ``p`` at both bracket ends.
+    from the exact signs of ``p`` at both bracket ends.  Every sign test
+    is unchanged when ``p`` is scaled by a nonzero constant, so the result
+    depends on :func:`primitive_part` of ``p`` only.
     """
     if tuple(map(float, interval)) != (0.0, 1.0):
         raise ValueError(f"roots are isolated in (0, 1) only, not {interval}")

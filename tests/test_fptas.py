@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from auditgames.fptas import (
     sort_deltas,
 )
 from auditgames.model import compute_deltas, game_from_dict, validate_game
+from auditgames.poly import isolate_roots, poly_mul, poly_sub
 
 from helpers import dense_restriction_game, rand_game, single_resource_grid_oracle
 
@@ -299,24 +302,31 @@ def _cache_games():
 
 def test_root_cache_isolates_each_polynomial_once_per_target(monkeypatch):
     isolated = []
+    monic = []
     star_now = []
     original_isolate, original_build = fptas.isolate_roots, fptas.build_subproblem
 
-    def build(game, star, j, cset):
+    def build(game, star, j, cset, *rest):
         star_now.append(star)
-        return original_build(game, star, j, cset)
+        return original_build(game, star, j, cset, *rest)
 
     def isolate(p, interval, l):
         isolated.append((star_now[-1], p.coefficients, l))
+        lead = p.ints[-1] or 1  # the zero polynomial stays (0,)
+        monic.append((star_now[-1],
+                      tuple(Fraction(c, lead) for c in p.ints), l))
         return original_isolate(p, interval, l)
 
     monkeypatch.setattr(fptas, "build_subproblem", build)
     monkeypatch.setattr(fptas, "isolate_roots", isolate)
     for g in _cache_games():
         isolated.clear()
+        monic.clear()
         sol = solve_fptas(g, SolveConfig(root_bits=20))
         assert len(set(isolated)) == len(isolated)
         assert sol.details["roots_isolated"] == len(isolated)
+        # no two isolated polynomials of one target are scalar multiples
+        assert len(set(monic)) == len(monic)
 
 
 def test_band_winners_match_uncached_candidates():
@@ -346,9 +356,9 @@ def test_root_counters_show_shared_isolations(monkeypatch):
     bands = []
     original_build = fptas.build_subproblem
 
-    def build(game, star, j, cset):
+    def build(game, star, j, cset, *rest):
         bands.append((star, j))
-        return original_build(game, star, j, cset)
+        return original_build(game, star, j, cset, *rest)
 
     monkeypatch.setattr(fptas, "build_subproblem", build)
     sol = solve_fptas(g, cfg)
@@ -364,3 +374,41 @@ def test_root_counters_show_shared_isolations(monkeypatch):
     isolated, hits = sol.details["roots_isolated"], sol.details["root_cache_hits"]
     assert isolated + hits == requests
     assert isolated < requests
+
+
+def test_memoised_bands_match_fresh_builds():
+    for g in _cache_games():
+        cset = cx.coverage_set(g, SolveConfig().enumeration_cap)
+        for star in range(g.n_targets):
+            cache = fptas._RootCache()
+            seen = {}
+            for j in range(len(sort_deltas(g, star)) + 1):
+                memo = build_subproblem(g, star, j, cset, cache)
+                fresh = build_subproblem(g, star, j, cset)
+                assert len(memo.boundaries) == len(fresh.boundaries)
+                for b, f in zip(memo.boundaries, fresh.boundaries):
+                    assert (b.num, b.den, b.origin, b.is_upper,
+                            b.open_strict) == (f.num, f.den, f.origin,
+                                               f.is_upper, f.open_strict)
+                    for x in (0.0, 0.3, 1.0):
+                        assert b.values(x) == f.values(x)
+                    # a boundary recurs as one object from band to band
+                    key = (b.num, b.den, b.origin, b.is_upper)
+                    assert seen.setdefault(key, b) is b
+
+
+def test_shared_denominator_crossing_matches_cross_product():
+    g = rand_game(6, 2, density=0.3, seed=8)
+    cset = cx.coverage_set(g, SolveConfig().enumeration_cap)
+    cache = fptas._RootCache()
+    eq = build_subproblem(g, 2, 1, cset, cache)
+    bounds = eq.boundaries
+    pairs = [(b1, b2) for i, b1 in enumerate(bounds) for b2 in bounds[i + 1:]
+             if b1.den == b2.den]
+    assert len(pairs) >= 10
+    for b1, b2 in pairs:
+        cross = poly_sub(poly_mul(b1.num, b2.den), poly_mul(b2.num, b1.den))
+        want = fptas._bracket_points(
+            None if cross.is_zero else isolate_roots(cross, (0.0, 1.0), 20))
+        assert cache.crossing_points(b1, cache.boundary_id(b1), b2,
+                                     cache.boundary_id(b2), 20, 30) == want

@@ -12,6 +12,7 @@ from auditgames.errors import (
 )
 from auditgames.poly import (
     Polynomial,
+    _canonical,
     count_roots,
     isolate_roots,
     poly_arith,
@@ -135,3 +136,46 @@ def test_precision_up_to_52_bits():
                 assert abs(got.value - want) <= 2.0 ** -l
     with pytest.raises(PrecisionUnachievable):
         isolate_roots(p, (0.0, 1.0), 53)
+
+
+def _planted(rng):
+    """A random polynomial with roots planted in (0, 1), some of them
+    dyadic, and a random scale."""
+    roots = [float(r) for r in rng.uniform(0.01, 0.99, int(rng.integers(1, 5)))]
+    roots += [int(rng.integers(1, 16)) / 16 for _ in range(rng.integers(0, 3))]
+    roots += [float(r) for r in rng.uniform(1.05, 3.0, int(rng.integers(0, 3)))]
+    return from_roots(roots, scale=float(rng.uniform(-4.0, 4.0)) or 1.0)
+
+
+def test_isolation_ignores_a_constant_factor():
+    rng = np.random.default_rng(21)
+    for _ in range(150):
+        p = _planted(rng)
+        l = int(rng.integers(1, 53))
+        want = isolate_roots(p, (0.0, 1.0), l)
+        for c in (-7, -0.1, 3, 1e-3, 12345):
+            scaled = poly_mul(P((c,)), p)
+            assert scaled.ints != p.ints
+            assert isolate_roots(scaled, (0.0, 1.0), l) == want
+
+
+def test_product_of_canonical_factors_is_canonical():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        p, q = _planted(rng), _planted(rng)
+        if rng.random() < 0.3:
+            q = P(tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 4)))))
+        school = [0] * (len(p.ints) + len(q.ints) - 1)
+        for i, a in enumerate(p.ints):
+            for j, b in enumerate(q.ints):
+                school[i + j] += a * b
+        want = _canonical(school, p.shift + q.shift)
+        got = poly_mul(p, q)
+        assert got == want
+        assert hash(got) == hash(want)
+    zero = P((0.0,))
+    for p in (P((3.0, -1.0, 0.5)), P((0.25,)), zero):
+        assert poly_mul(p, zero) == zero == poly_mul(zero, p)
+        assert poly_mul(p, zero, cap=0).is_zero
+    with pytest.raises(DegreeCapExceeded):
+        poly_mul(P((1.0, 1.0)), P((0.5, 0.0, 3.0)), cap=2)
