@@ -389,10 +389,7 @@ class _RootCache:
       fixed coverage;
     - per pair of ids: the pair's crossings, where ``n1 d2 - n2 d1``
       vanishes.  Its terms are kept per (boundary, denominator), since
-      one row meets every coverage row over the same ``x + D_star``.  Two
-      boundaries over one denominator cross where ``(n1 - n2) den``
-      vanishes, so that product is looked up by the primitive part of
-      ``n1 - n2`` before it is built;
+      one row meets every coverage row over the same ``x + D_star``;
     - per polynomial: keyed by its primitive part and the precision,
       since ``isolate_roots`` gives ``c * g`` and ``g`` the same brackets.
       The entry is the ``RootApprox`` tuple, or None for zero.
@@ -407,7 +404,6 @@ class _RootCache:
         self.stationary = {}
         self.fixed_p = {}
         self.crossings = {}
-        self.shared = {}
         self.terms = {}
         self.isolated = 0
         self.hits = 0
@@ -453,18 +449,8 @@ class _RootCache:
         if key in self.crossings:
             self.hits += 1
             return self.crossings[key]
-        if b1.den == b2.den:
-            diff = poly_sub(b1.num, b2.num)
-            shared = (b1.den, primitive_part(diff), l)
-            if shared in self.shared:
-                self.hits += 1
-                roots = self.shared[shared]
-            else:
-                roots = self.shared[shared] = self.roots(
-                    poly_mul(diff, b1.den, cap=cap), l)
-        else:
-            roots = self.roots(poly_sub(self._term(b1, id1, b2.den, cap),
-                                        self._term(b2, id2, b1.den, cap)), l)
+        roots = self.roots(poly_sub(self._term(b1, id1, b2.den, cap),
+                                    self._term(b2, id2, b1.den, cap)), l)
         points = self.crossings[key] = _bracket_points(roots)
         return points
 
@@ -482,8 +468,9 @@ def _bracket_points(roots) -> tuple:
 def _stationary_roots(eq: SubproblemEQ, b: Boundary, bid: int, l: int,
                       cap: int, cache: _RootCache) -> tuple:
     """Roots of d/dx [ (num/den)(D_D - a1 x) - a x ] cleared by den^2,
-    as bracket points; ``bid`` is the boundary's id in ``cache``."""
-    key = (bid, eq.delta_d_star, eq.cost_a1, eq.cost_a, l)
+    as bracket points; ``bid`` is the boundary's id in ``cache``, which
+    serves one target, so the objective's constants are fixed."""
+    key = (bid, l)
     if key in cache.stationary:
         cache.hits += 1
         return cache.stationary[key]
