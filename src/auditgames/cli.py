@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "connected subgraphs or the 2^k resource subsets, "
                             "whichever are fewer, so it bounds the smaller "
                             "count (fpt falls back to the grid formulation "
-                            "past it); constraints caps the subgraphs")
+                            "past it; tsp takes no C and ignores it); "
+                            "constraints caps the subgraphs")
         p.add_argument("--lenient", action="store_true",
                        help="accept instances that narrowly break the "
                             "attacker utility ordering")

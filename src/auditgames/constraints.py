@@ -7,15 +7,17 @@ Two extractors are provided — the naive enumeration over all resource
 subsets, and the target-side algorithm that merges equal-audit-set
 targets, builds their intersection graph, and walks its connected
 induced subgraphs.  Both define the same polytope; the equivalence
-oracle below checks that via pairwise LP implication.  The solvers take
-C from :func:`coverage_set`, which runs the target-side algorithm while
-it enumerates no more than the 2^k resource subsets would, and the
+oracle below checks that via pairwise LP implication.  fpt and fptas
+take C from :func:`coverage_set`, which runs the target-side algorithm
+while it enumerates no more than the 2^k resource subsets would, and the
 resource-side enumeration otherwise.
 
 Each row of C is a Hall inequality of the audit graph, so one max flow,
 :func:`coverage_flow`, decides whether p lifts to an allocation, builds
 that allocation and measures p's worst violation of any row of C
 (max-flow/min-cut).  It is the one membership test of the package.
+:class:`CoverageNetwork` is the same flow on floats, for the tsp
+subproblems, which route many nearby coverage vectors and read min cuts.
 """
 
 from __future__ import annotations
@@ -419,6 +421,107 @@ def coverage_flow(game: AuditGame, p):
     entries = np.zeros((k, n))
     entries[res, tgt] = flow / full
     return entries, max(0.0, float(p.sum() - entries.sum()))
+
+
+FLOW_TOL = 1e-12
+
+
+class CoverageNetwork:
+    """A float max flow source -> target i (capacity ``cap[i]``) ->
+    allowed resource -> sink (capacity 1), kept as each resource's flow
+    per target, for callers that route many nearby coverage vectors.
+
+    ``route`` raises some targets' capacities and augments along shortest
+    residual paths (Edmonds-Karp), each target's direct edges first.  An
+    augmenting path never sends flow back into the source, so targets
+    routed by an earlier call stay routed: they are routed first, and
+    later calls see only the residual graph.  Floats route exactly what
+    they can; an edge is residual, and a target short of its capacity,
+    when the gap exceeds ``FLOW_TOL``, and the min cut is read off those
+    residual edges.  So a cut's targets carry within ``FLOW_TOL`` of the
+    resources they reach.  Copies share the game's edges.
+    """
+
+    def __init__(self, game: AuditGame):
+        self.resources = [[] for _ in range(game.n_targets)]
+        tgt, res = np.nonzero(allowed_pairs(game).T)
+        for i, j in zip(tgt.tolist(), res.tolist()):
+            self.resources[i].append(j)
+        self.on = [{} for _ in range(game.n_resources)]  # target -> flow
+        self.load = [0.0] * game.n_resources
+        self.routed = [0.0] * game.n_targets
+        self.cap = [0.0] * game.n_targets
+
+    def copy(self) -> "CoverageNetwork":
+        other = object.__new__(CoverageNetwork)
+        other.resources = self.resources
+        other.on = [dict(held) for held in self.on]
+        other.load = list(self.load)
+        other.routed = list(self.routed)
+        other.cap = list(self.cap)
+        return other
+
+    def drop(self, targets) -> None:
+        """Remove the targets' flow and capacity."""
+        for i in targets:
+            for j in self.resources[i]:
+                self.load[j] -= self.on[j].pop(i, 0.0)
+            self.routed[i] = self.cap[i] = 0.0
+
+    def route(self, caps: dict) -> set:
+        """Set the capacities ``caps`` (target -> coverage, no less than
+        the target routes now) and route a maximum flow.  Returns the
+        targets on the source side of a min cut (those reachable from a
+        target short of its capacity), empty when every capacity routes.
+        Such a set needs more coverage than the resources it reaches."""
+        on, load, cap, routed = self.on, self.load, self.cap, self.routed
+        for i, c in caps.items():
+            cap[i] = c
+            for j in self.resources[i]:
+                if cap[i] - routed[i] <= FLOW_TOL:
+                    break
+                room = 1.0 - load[j]
+                if room > FLOW_TOL:
+                    push = min(room, cap[i] - routed[i])
+                    on[j][i] = on[j].get(i, 0.0) + push
+                    load[j] += push
+                    routed[i] += push
+        while True:
+            starts = [i for i in range(len(cap))
+                      if cap[i] - routed[i] > FLOW_TOL]
+            reached = dict.fromkeys(starts)  # target -> resource before it
+            via = {}  # resource -> target before it
+            end = None
+            for i in starts:  # breadth first: starts grows as it runs
+                for j in self.resources[i]:
+                    if j in via:
+                        continue
+                    via[j] = i
+                    if load[j] < 1.0 - FLOW_TOL:
+                        end = j
+                        break
+                    for back, amount in on[j].items():
+                        if amount > FLOW_TOL and back not in reached:
+                            reached[back] = j
+                            starts.append(back)
+                if end is not None:
+                    break
+            if end is None:
+                return set(reached)
+            push, i = 1.0 - load[end], via[end]
+            while reached[i] is not None:
+                push = min(push, on[reached[i]][i])
+                i = via[reached[i]]
+            push = min(push, cap[i] - routed[i])
+            load[end] += push
+            j = end
+            while j is not None:
+                i = via[j]
+                on[j][i] = on[j].get(i, 0.0) + push
+                j = reached[i]
+                if j is not None:
+                    on[j][i] -= push
+            routed[i] += push
 
 
 def liftable_to_grid(game: AuditGame, p, tol: float = IMPLIES_TOL) -> bool:

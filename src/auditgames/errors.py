@@ -64,7 +64,7 @@ class EnumerationCapExceeded(UserError):
     """Enumeration aborted at the configured cap.
 
     ``constraint_find`` raises it when the connected subgraphs exceed the
-    cap.  The solvers extract C through ``coverage_set``, which walks the
+    cap.  fpt and fptas extract C through ``coverage_set``, which walks the
     2^k resource subsets instead when those are fewer, so for them the cap
     bounds the smaller of the two enumerations and this is raised only
     when both exceed it.
@@ -103,10 +103,6 @@ class NumericalResidual(InternalError):
 
 class NonpositiveKappa(UserError):
     """Cone rewrite requires a strictly positive left-hand constant."""
-
-
-class BarrierStall(InternalError):
-    """Barrier line search failed to make progress."""
 
 
 class DivisibilityError(UserError):

@@ -40,7 +40,7 @@ _CLOSED_FORM_BLOCK = 1 << 20
 class SolveConfig:
     epsilon: float = 0.005
     formulation: str = "auto"  # grid | transformed | auto
-    enumeration_cap: int = cx.DEFAULT_SUBGRAPH_CAP
+    enumeration_cap: int = cx.DEFAULT_SUBGRAPH_CAP  # tsp ignores it
     root_bits: int = 20
     verify: bool = True
     screen: bool = True  # cheap per-(star, x) infeasibility pre-check

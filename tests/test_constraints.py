@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from auditgames.constraints import (
+    CoverageNetwork,
     build_intersection_graph,
     constraint_find,
     coverage_flow,
@@ -20,7 +21,7 @@ from auditgames.constraints import (
 )
 from auditgames.errors import EnumerationCapExceeded, ResourceCapExceeded
 from auditgames.lp import LinearProgram, solve_lp
-from auditgames.model import validate_game
+from auditgames.model import audit_sets, validate_game
 
 from helpers import (
     brute_force_connected_subsets,
@@ -247,6 +248,49 @@ def test_projection_matches_grid_liftability():
                          for c in cset.constraints]
                         + [p[i] for i in cset.pinned], default=0.0)
             assert shortfall >= worst - 1e-12, f"seed {seed} p {p}"
+
+
+def test_coverage_network_cut_is_the_worst_hall_violation():
+    # the float network routes what coverage_flow routes, and its cut's
+    # targets overfill the resources they reach by the shortfall
+    rng = np.random.default_rng(8)
+    cuts = 0
+    for seed in range(30):
+        n = 3 + seed % 4
+        g = rand_game(n, 1 + seed % min(3, n - 1), density=0.3,
+                      seed=300 + seed)
+        p = rng.random(n) * rng.uniform(0.3, 1.0)
+        net = CoverageNetwork(g)
+        cut = net.route(dict(enumerate(p.tolist())))
+        _, shortfall = coverage_flow(g, p)
+        # past a lift coverage_flow stops at its 2^-30 round
+        tol = n * 2.0**-30
+        assert sum(net.routed) == pytest.approx(p.sum() - shortfall,
+                                                abs=tol)
+        if shortfall <= 1e-9:
+            assert not cut
+            continue
+        cuts += 1
+        fmap = audit_sets(g)
+        reach = set().union(*(fmap[i] for i in cut))
+        assert p[sorted(cut)].sum() - len(reach) == pytest.approx(
+            shortfall, abs=tol)
+    assert cuts >= 5
+
+
+def test_coverage_network_keeps_earlier_targets_routed():
+    # resource 0 audits targets 0 and 1 only; target 0 routed first keeps
+    # its unit, so target 1 is cut off, and a copy leaves the original
+    g = validate_game(3, 2, [UTIL] * 3, [(1, 0), (1, 1)], cost_a=0.01)
+    net = CoverageNetwork(g)
+    assert not net.route({0: 1.0})
+    later = net.copy()
+    assert later.route({1: 0.5, 2: 1.0}) == {0, 1}
+    assert later.routed == [1.0, 0.0, 1.0]
+    assert net.routed == [1.0, 0.0, 0.0]
+    later.drop([0])
+    assert not later.route({1: 0.5})
+    assert later.routed == [0.0, 0.5, 1.0]
 
 
 def test_extreme_points_are_binary():

@@ -1,19 +1,16 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from auditgames.errors import Infeasible, NonpositiveKappa
 from auditgames.fpt import SolveConfig
-from auditgames.model import compute_deltas, validate_game
+from auditgames.model import audit_sets, compute_deltas, validate_game
 from auditgames import constraints as cx
-from auditgames import target_specific
 from auditgames.target_specific import (
-    BARRIER_EPS,
-    START_GAP,
-    _BarrierProblem,
-    _constraint_jacobian,
-    _newton_minimize,
+    _water_fill,
     hyperbolic_to_soc,
     solve_px,
     solve_socp_fixed,
@@ -86,8 +83,8 @@ def test_single_constraint_analytic():
                       [(0.9, 0.1, 0.1, 0.95), (0.5, 0.2, 0.3, 0.4),
                        (0.4, 0.3, 0.0, 0.05)], [], cost_a=1.0)
     p, x, raw = solve_socp_fixed(g, 0, 1.0)
-    assert p[1] == pytest.approx(1.0, abs=5e-3)
-    assert x[1] == pytest.approx(0.2, abs=5e-3)
+    assert p[1] == pytest.approx(1.0, abs=1e-12)
+    assert x[1] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_unachievable_kappa_is_infeasible():
@@ -98,38 +95,59 @@ def test_unachievable_kappa_is_infeasible():
         solve_socp_fixed(g, 0, 1.0)
 
 
-def test_kkt_stationarity_numeric():
-    checked = 0
-    for seed in (21, 22, 23, 24):
-        g = rand_game(3, 1, seed=seed, a_vec=True)
-        cset = cx.constraint_find(g, prune=True)
-        try:
-            p, x, raw, info = solve_socp_fixed(g, 0, 0.6, cset,
-                                               with_info=True)
-        except Infeasible:
-            continue
-        if info.get("vacuous"):
-            continue
-        checked += 1
-        assert info["kkt_residual"] <= 1e-6
-        assert info["duality_gap_bound"] <= BARRIER_EPS
-        # cross-check against a numeric gradient of the Lagrangian built
-        # from the certified multipliers
-        problem = info["problem"]
-        z, lam = info["z"], info["multipliers"]
+def test_precheck_errors_name_the_pair():
+    # target 1's kappa 2 passes 1 + its shift 0.5 at coverage 1
+    g = validate_game(2, 1, [(0.9, 0.1, 0.0, 0.5), (0.5, 0.2, 1.5, 2.0)],
+                      [], cost_a=1.0)
+    with pytest.raises(Infeasible, match=r"^attacked target 0 at coverage "
+                       r"1: constraint for target 1 unachievable: kappa "
+                       r"2\.0000 > 1 \+ 0\.5000$"):
+        solve_socp_fixed(g, 0, 1.0)
+    # no resource audits target 1, whose kappa is positive
+    g = validate_game(3, 1, [(0.9, 0.1, 0.0, 0.5), (0.5, 0.2, 0.3, 0.9),
+                             (0.4, 0.3, 0.0, 0.1)], [(0, 1)], cost_a=1.0)
+    with pytest.raises(Infeasible, match=r"^attacked target 0 at coverage "
+                       r"0\.25: target 1 needs coverage but cannot be "
+                       r"audited$"):
+        solve_socp_fixed(g, 0, 0.25)
 
-        def lagrangian(zz):
-            return float(problem.objective(zz[None])[0]
-                         - lam @ problem.slacks(zz[None])[0])
 
-        h = 1e-6
-        for idx in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[idx] += h
-            zm[idx] -= h
-            grad = (lagrangian(zp) - lagrangian(zm)) / (2 * h)
-            assert abs(grad) <= 1e-5
-    assert checked >= 1
+def test_free_target_takes_its_least_coverage():
+    # a target with cost 0 punishes fully for free, leaving the most
+    # coverage to the others
+    g = validate_game(3, 2, [(0.9, 0.1, 0.1, 0.95), (0.5, 0.2, 0.3, 0.4),
+                             (0.4, 0.3, 0.0, 0.05)], [],
+                      per_target_costs=[0.02, 0.0, 0.03])
+    d = compute_deltas(g)
+    kappa = d.delta[0] + d.delta_pair[1, 0]
+    p, x, raw = solve_socp_fixed(g, 0, 1.0)
+    assert p[1] == pytest.approx(kappa / (1.0 + d.delta[1]), abs=1e-15)
+    assert x[1] == pytest.approx(1.0, abs=1e-12)
+    assert raw == pytest.approx(d.delta_d[0], abs=1e-15)
+
+
+def test_water_fill_meets_the_total_on_the_breakpoints():
+    # y = clip(w lam, lo, hi) sums to the total, with one lam for every
+    # target strictly inside its bounds
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        lo = rng.uniform(0.0, 0.5, m)
+        hi = lo + rng.uniform(0.0, 0.5, m) * (rng.random(m) < 0.9)
+        w = rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.9)
+        hi = np.where(w > 0, hi, lo)  # as for targets of cost 0
+        total = rng.uniform(lo.sum(), hi.sum())
+        y = _water_fill(lo, hi, w, total)
+        assert y.sum() == pytest.approx(total, abs=1e-12)
+        assert (lo <= y).all() and (y <= hi).all()
+        inside = (lo < y) & (y < hi)
+        if inside.any():
+            lam = y[inside] / w[inside]
+            assert lam == pytest.approx(lam[0], rel=1e-12)
+            # the others are clipped: w lam is past their bound
+            box = lo < hi
+            assert (w * lam[0] <= lo * (1 + 1e-12))[box & (y == lo)].all()
+            assert (w * lam[0] >= hi * (1 - 1e-12))[box & (y == hi)].all()
 
 
 def test_px_x_star_always_zero():
@@ -210,153 +228,16 @@ def test_px_past_subgraph_cap():
     assert np.isfinite(sol.objective)
 
 
-def _random_batch(rng, size, n, n_caps):
-    """A barrier batch of ``size`` problems over n targets, each with its
-    own random active set, sharing ``n_caps`` random coverage rows (some
-    without an active member in some problems); with a strictly interior
-    point z."""
-    active = rng.random((size, n)) < 0.6
-    active[np.arange(size), rng.integers(n, size=size)] = True
-    p = np.where(active, rng.uniform(0.2, 0.8, (size, n)), 0.5)
-    x = np.where(active, rng.uniform(0.2, 0.8, (size, n)), 0.5)
-    shift = rng.uniform(-0.1, 0.5, (size, n))
-    kappa = np.where(active, rng.uniform(0.2, 0.8, (size, n)) * p
-                     * (x + shift), 0.0)
-    rows = (rng.random((n_caps, n)) < 0.4).astype(float)
-    rows[np.arange(n_caps), rng.integers(n, size=n_caps)] = 1.0
-    capacity = (np.where(active, p, 0.0) @ rows.T
-                + rng.uniform(0.1, 0.5, (size, n_caps)))
-    costs = rng.uniform(0.005, 0.05, (size, n))
-    problem = _BarrierProblem(kappa, shift, costs, rows, capacity)
-    return problem, np.concatenate((p, x), axis=1)
-
-
-def _single_problem(problem, z, b):
-    """Problem b of a batch on its own: its active entries' kappa, shift,
-    costs and (p, x), and the coverage rows holding an active entry."""
-    idx = np.flatnonzero(problem.active[b])
-    n = problem.n
-    cap_rows = [(row[idx], cap) for row, cap
-                in zip(problem.rows, problem.capacity[b]) if row[idx].any()]
-    return (idx, problem.kappa[b, idx], problem.shift[b, idx],
-            problem.costs[b, idx], cap_rows,
-            np.concatenate((z[b, idx], z[b, n + idx])))
-
-
-def _full_hessian(hpp, hpx, hxx):
-    """The (B, 2n, 2n) Hessians assembled from their Schur blocks."""
-    size, n = hpx.shape
-    h = np.zeros((size, 2 * n, 2 * n))
-    h[:, :n, :n] = hpp
-    at = np.arange(n)
-    h[:, at, n + at] = hpx
-    h[:, n + at, at] = hpx
-    h[:, n + at, n + at] = hxx
-    return h
-
-
-def _loop_grad_hess(kappa, shift, costs, cap_rows, z, t):
-    """Element-by-element gradient and Hessian of one barrier, kept as a
-    reference for the array kernel."""
-    m = len(kappa)
-    p, x = z[:m], z[m:]
-    g = np.zeros(2 * m)
-    h = np.zeros((2 * m, 2 * m))
-    g[m:] += t * np.asarray(costs)
-    for idx in range(m):
-        s = p[idx] * (x[idx] + shift[idx]) - kappa[idx]
-        dp, dx = x[idx] + shift[idx], p[idx]
-        g[idx] += -dp / s
-        g[m + idx] += -dx / s
-        h[idx, idx] += dp * dp / s**2
-        h[m + idx, m + idx] += dx * dx / s**2
-        cross = dp * dx / s**2 - 1.0 / s
-        h[idx, m + idx] += cross
-        h[m + idx, idx] += cross
-    for idx in range(m):
-        for val, sign, at in ((p[idx], 1.0, idx), (1 - p[idx], -1.0, idx),
-                              (x[idx], 1.0, m + idx),
-                              (1 - x[idx], -1.0, m + idx)):
-            g[at] += -sign / val
-            h[at, at] += 1.0 / val**2
-    for coeffs, capacity in cap_rows:
-        s = capacity - float(coeffs @ p)
-        g[:m] += coeffs / s
-        h[:m, :m] += np.outer(coeffs, coeffs) / s**2
-    return g, h
-
-
-@pytest.mark.parametrize("n_caps", [0, 3])
-def test_barrier_grad_hess_matches_finite_differences(n_caps):
-    rng = np.random.default_rng(7 + n_caps)
-    step = 1e-6
-    n = 5
-    problem, z = _random_batch(rng, 20, n, n_caps)
-    t = rng.uniform(0.5, 50.0, 20)
-    g, *blocks = problem.barrier_grad_hess(z, t)
-    h = _full_hessian(*blocks)
-    on = np.tile(problem.active, 2)
-    for idx in range(2 * n):
-        unit = np.zeros((20, 2 * n))
-        unit[:, idx] = step
-        fd_g = (problem.barrier_change(z, unit, t)
-                - problem.barrier_change(z, -unit, t)) / (2 * step)
-        fd_h = (problem.barrier_grad_hess(z + unit, t)[0]
-                - problem.barrier_grad_hess(z - unit, t)[0]) / (2 * step)
-        for b in range(20):
-            if not on[b, idx]:
-                # a padded entry: constant barrier, zero gradient
-                assert fd_g[b] == 0.0 and g[b, idx] == 0.0
-                assert not fd_h[b].any()
-                continue
-            assert fd_g[b] == pytest.approx(g[b, idx], rel=1e-5, abs=1e-6)
-            np.testing.assert_allclose(fd_h[b, on[b]], h[b, on[b], idx],
-                                       rtol=1e-5, atol=1e-5)
-
-
-@pytest.mark.parametrize("n_caps", [0, 4])
-def test_barrier_grad_hess_matches_scalar_loop(n_caps):
-    rng = np.random.default_rng(31 + n_caps)
-    n = 7
-    problem, z = _random_batch(rng, 50, n, n_caps)
-    t = rng.uniform(0.5, 1e4, 50)
-    g, *blocks = problem.barrier_grad_hess(z, t)
-    h = _full_hessian(*blocks)
-    for b in range(50):
-        idx, kappa, shift, costs, caps, zb = _single_problem(problem, z, b)
-        g_ref, h_ref = _loop_grad_hess(kappa, shift, costs, caps, zb, t[b])
-        at = np.concatenate((idx, n + idx))
-        np.testing.assert_allclose(g[b, at], g_ref, rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(h[b][np.ix_(at, at)], h_ref,
-                                   rtol=1e-10, atol=0.0)
-        # padded entries: zero gradient, unit Hessian rows and columns
-        pad = np.setdiff1d(np.arange(2 * n), at)
-        assert not g[b, pad].any()
-        np.testing.assert_array_equal(h[b, pad], np.eye(2 * n)[pad])
-        np.testing.assert_array_equal(h[b][:, pad], np.eye(2 * n)[:, pad])
-
-
-def test_slack_order_matches_constraint_jacobian():
-    rng = np.random.default_rng(5)
-    batch, zs = _random_batch(rng, 6, 4, 2)
-    step = 1e-6
-    for b in range(6):
-        problem, z = batch.take([b]), zs[b]
-        jac = _constraint_jacobian(problem, z)
-        for idx in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[idx] += step
-            zm[idx] -= step
-            fd = ((problem.slacks(zp[None]) - problem.slacks(zm[None]))[0]
-                  / (2 * step))
-            np.testing.assert_allclose(fd, jac[:, idx], atol=1e-7)
-
-
-def test_px_reports_newton_steps():
+def test_px_reports_flows_and_splits():
     g = rand_game(3, 1, seed=4, a_vec=True)
     sol = solve_px(g, SolveConfig(epsilon=0.2))
-    assert sol.details["newton_steps"] >= sol.details["subproblems_solved"] > 0
-    assert sol.details["line_search_trials"] >= sol.details["newton_steps"]
+    # one flow routes p_star in every pair
+    pairs = sol.details["subproblems_solved"] + sol.details[
+        "subproblems_infeasible"]
+    assert sol.details["flows"] >= pairs > 0
+    # one resource: every nonempty target set has the same rank, so the
+    # only tight set is all of them and no pair splits
+    assert sol.details["splits"] == 0
 
 
 def test_px_reports_lift_residual():
@@ -368,48 +249,10 @@ def test_px_reports_lift_residual():
         assert 0.0 <= res["lift"] <= 1e-9
 
 
-def test_barrier_change_matches_direct_difference():
-    rng = np.random.default_rng(13)
-    for n_caps in range(4):
-        problem, z = _random_batch(rng, 50, 5, n_caps)
-        t = rng.uniform(0.5, 1e3, 50)
-        dz = (rng.normal(0.0, 0.3, z.shape) * np.tile(problem.active, 2)
-              * 10.0 ** -rng.integers(0, 4, (50, 1)))
-        s0, s1 = problem.slacks(z), problem.slacks(z + dz)
-        change = problem.barrier_change(z, dz, t)
-        for b in range(50):
-            if not (s1[b] > 0).all():
-                assert change[b] == np.inf
-                continue
-            direct = (t[b] * (problem.objective(z + dz)[b]
-                              - problem.objective(z)[b])
-                      - (np.log(s1[b]).sum() - np.log(s0[b]).sum()))
-            assert change[b] == pytest.approx(direct, rel=1e-9)
-
-
-def test_centred_polish_at_final_weight_is_short():
-    # at t = n / BARRIER_EPS absolute barrier values round to about 1e-8;
-    # a line search on them stalled the tol=1e-14 polish for 80 steps
-    rng = np.random.default_rng(17)
-    for n_caps in (0, 3):
-        problem, z = _random_batch(rng, 20, 7, n_caps)
-        n_cons = problem.n_constraints()
-        t_end = n_cons / BARRIER_EPS
-        tally = Counter()
-        # centre at every weight up to t_end, t_end included, to 1e-9
-        z, t, _ = _newton_minimize(problem, z, n_cons / problem.costs.sum(1),
-                                   tally, final_tol=1e-9)
-        np.testing.assert_array_equal(t, t_end)
-        tally.clear()
-        _, _, steps = _newton_minimize(problem, z, t_end, tally)
-        assert steps.max() < 10
-        assert tally["newton_steps"] == steps.sum()
-
-
 def _edge_game(seed):
     """A seeded random 5/2 game with utilities set so that, on the grid
     {0, 1/4, ..., 1}, attacked target 0 at coverage 1 puts target 1's
-    kappa 2^-24 below 1 + shift (a hyperbola the start misses), and
+    kappa 2^-24 below 1 + shift (its least coverage just under 1), and
     target 2's kappa passes 1 + shift wherever target 3 is attacked at
     coverage 1/2 or more."""
     g = rand_game(5, 2, density=0.3, seed=seed, a_vec=True)
@@ -423,21 +266,39 @@ def _edge_game(seed):
 
 
 def test_start_error_names_the_hyperbola():
-    g = _edge_game(1)
-    d = compute_deltas(g)
-    kappa = d.delta[0] + d.delta_pair[1, 0]
-    gap = 1.0 + d.delta[1] - kappa
-    assert 0.0 < gap < START_GAP * (2.0 + d.delta[1])
-    with pytest.raises(Infeasible,
-                       match=r"attacked target 0 at coverage 1: "
-                             r"target 1's hyperbola"):
-        solve_socp_fixed(g, 0, 1.0)
+    # target 1's hyperbola needs coverage just under 1 at full punishment;
+    # with the attacked target's and target 2's least coverages that is
+    # more than the two resources hold, and the error names the min cut's
+    # targets: {0, 1, 2} on seed 1, all five (need 3.23) on seed 3
+    for seed, size in ((1, 3), (3, 5)):
+        g = _edge_game(seed)
+        d = compute_deltas(g)
+        kappa = d.delta[0] + d.delta_pair[:, 0]
+        kappa[0] = 0.0
+        least = np.where(kappa > 0, kappa / (1.0 + d.delta), 0.0)
+        least[0] = 1.0
+        assert 0.0 < 1.0 - least[1] < 1e-7
+        with pytest.raises(Infeasible) as err:
+            solve_socp_fixed(g, 0, 1.0)
+        found = re.fullmatch(r"attacked target 0 at coverage 1: targets "
+                             r"\[([\d, ]+)\] need ([\d.]+) coverage on "
+                             r"(\d+) resources", str(err.value))
+        assert found, str(err.value)
+        targets = [int(i) for i in found[1].split(",")]
+        need, count = float(found[2]), int(found[3])
+        assert {0, 1, 2} <= set(targets) and len(targets) == size
+        assert need == pytest.approx(least[targets].sum(), abs=1e-3)
+        fmap = audit_sets(g)
+        assert count == len(set().union(*(fmap[i] for i in targets))) == 2
+        assert need > count
+    assert need == pytest.approx(3.23, abs=5e-3)
 
 
 @pytest.mark.parametrize("seed", [1, 3])
-def test_batched_solve_matches_single_pair_solves(seed, monkeypatch):
+def test_batched_solve_matches_single_pair_solves(seed):
+    # solve_px over the grid is the best of the single-pair solves, with
+    # their counts
     g = _edge_game(seed)
-    cset = cx.coverage_set(g)
     d = compute_deltas(g)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     seen = Counter()
@@ -449,60 +310,151 @@ def test_batched_solve_matches_single_pair_solves(seed, monkeypatch):
             kappa[star] = 0.0
             active = set(np.flatnonzero(kappa > 0))
             try:
-                _, _, raw = solve_socp_fixed(g, star, p_star, cset,
-                                             tally=tally)
+                _, _, raw = solve_socp_fixed(g, star, p_star, tally)
             except Infeasible as exc:
                 infeasible += 1
-                seen["hyperbola" if "hyperbola" in str(exc) else
-                     "start" if "start" in str(exc) else
+                seen["hall" if "resources" in str(exc) else
                      "kappa" if "unachievable" in str(exc) else "other"] += 1
                 continue
             solved += 1
-            seen["vacuous" if not active else "barrier"] += 1
-            # a bound-1 row holding the attacked target at coverage 1 and
-            # no active target has no capacity, yet the pair is feasible
-            if p_star == 1.0 and any(
-                    c.bound == 1 and star in c.target_indices
-                    and not active & set(c.target_indices)
-                    for c in cset.constraints) and active:
-                seen["spent row"] += 1
+            seen["decomposed" if active else "vacuous"] += 1
             key = (g.utilities[star][1] + raw, -p_star, -star)
             if best is None or key > best:
                 best = key
-    assert all(seen[k] for k in ("hyperbola", "start", "kappa", "vacuous",
-                                 "barrier", "spent row")), seen
-
-    # every batched problem ends at its own t_end, 5 m + (rows holding
-    # an active target) over BARRIER_EPS
-    ends = []
-    inner = target_specific._newton_minimize
-
-    def spy(problem, z, t, tally, **kw):
-        z, t, steps = inner(problem, z, t, tally, **kw)
-        ends.extend(zip((problem.pairs[i] for i in problem.index), t))
-        return z, t, steps
-
-    monkeypatch.setattr(target_specific, "_newton_minimize", spy)
+    assert all(seen[k] for k in ("hall", "kappa", "vacuous",
+                                 "decomposed")), seen
+    assert not seen["other"]
     sol = solve_px(g, SolveConfig(epsilon=0.25))
     assert sol.details["subproblems_solved"] == solved
     assert sol.details["subproblems_infeasible"] == infeasible
     assert (sol.star, sol.p[sol.star]) == (-best[2], -best[1])
-    assert sol.objective == pytest.approx(best[0], abs=1e-12)
-    # the same rules take the same steps, up to summation order
-    for key in ("newton_steps", "line_search_trials"):
-        assert sol.details[key] == pytest.approx(tally[key], rel=0.01)
-    assert len(ends) == seen["barrier"]
-    for (star, p_star), t in ends:
-        kappa = p_star * d.delta[star] + d.delta_pair[:, star]
-        kappa[star] = 0.0
-        active = set(np.flatnonzero(kappa > 0))
-        rows = sum(bool(active & set(c.target_indices))
-                   for c in cset.constraints)
-        assert t == (5 * len(active) + rows) / BARRIER_EPS
+    assert sol.objective == best[0]
+    assert sol.details["flows"] == tally["flows"]
+    assert sol.details["splits"] == tally["splits"]
 
 
 def test_px_on_eight_targets_does_not_stall():
     g = rand_game(8, 2, density=0.2, seed=3, a_vec=True)
     sol = solve_px(g, SolveConfig(epsilon=0.05))
     assert sol.details["subproblems_solved"] > 0
-    assert sol.details["line_search_trials"] >= sol.details["newton_steps"]
+    assert sol.details["flows"] >= sol.details["subproblems_solved"]
+    assert sol.details["residuals"]["lift"] <= 1e-9
+
+
+def test_knife_edge_pair_is_feasible():
+    # kappa_1 = 1 + D_1 = 1.75 exactly: p_1 = x_1 = 1 meets it, with no
+    # strictly feasible point around it
+    g = validate_game(3, 2, [(0.9, 0.1, 0.0, 0.25), (0.5, 0.2, 1.25, 2.0),
+                             (0.4, 0.3, 0.0, 0.05)], [], cost_a=0.5)
+    d = compute_deltas(g)
+    assert d.delta_pair[1, 0] == 1.0 + d.delta[1] == 1.75
+    p, x, raw = solve_socp_fixed(g, 0, 0.0)
+    assert p[1] == x[1] == 1.0
+    assert raw == -0.5
+
+
+def test_px_ignores_the_enumeration_cap():
+    # 111 connected subgraphs and 2^3 resource subsets, both past a cap
+    # of 1: tsp enumerates no C
+    g = dense_restriction_game(12, 3, seed=1)
+    capped = solve_px(g, SolveConfig(epsilon=0.05, enumeration_cap=1))
+    free = solve_px(g, SolveConfig(epsilon=0.05))
+    assert capped.objective == free.objective
+    assert capped.star == free.star
+    np.testing.assert_array_equal(capped.p, free.p)
+    np.testing.assert_array_equal(capped.x, free.x)
+    assert capped.details["splits"] > 0
+
+
+def _slsqp_pair(game, star, p_star, cset):
+    """The fixed-coverage program by SLSQP over (p, x) of the targets with
+    kappa > 0: min sum c_i x_i subject to kappa_i <= p_i (x_i + D_i), the
+    unit boxes and C's explicit rows that hold such a target, from full
+    punishment at the least coverages.  Returns None when those least
+    coverages break a row or a box by more than 1e-9 (the pair is
+    infeasible, as C is down-closed), "edge" within 1e-9 of that, else
+    (cost, worst violation) of the SLSQP point."""
+    d = compute_deltas(game)
+    kappa = p_star * d.delta[star] + d.delta_pair[:, star]
+    kappa[star] = 0.0
+    act = np.flatnonzero(kappa > 0)
+    kap, shift = kappa[act], d.delta[act]
+    costs = np.asarray(game.target_costs)[act]
+    rows = np.array([c.coeff_row(game.n_targets) for c in cset.constraints]
+                    + [np.eye(game.n_targets)[i] for i in cset.pinned]
+                    ).reshape(-1, game.n_targets)
+    bounds = np.array([float(c.bound) for c in cset.constraints]
+                      + [0.0] * len(cset.pinned))
+    # rows without a target of kappa > 0 hold p_star alone, which fits
+    keep = rows[:, act].any(axis=1)
+    bounds = bounds[keep] - p_star * rows[keep, star]
+    rows = rows[np.ix_(keep, act)]
+    least = kap / (1.0 + shift)
+    worst = max((rows @ least - bounds).max(initial=-1.0),
+                (least - 1.0).max(initial=-1.0), -bounds.min(initial=1.0))
+    if worst > 1e-9:
+        return None
+    if worst > -1e-9:
+        return "edge"
+    m = act.size
+    if not m:
+        return 0.0, 0.0
+    res = minimize(
+        lambda z: costs @ z[m:], np.concatenate((least, np.ones(m))),
+        jac=lambda z: np.concatenate((np.zeros(m), costs)),
+        method="SLSQP", bounds=[(0.0, 1.0)] * (2 * m),
+        constraints=[
+            {"type": "ineq",
+             "fun": lambda z: z[:m] * (z[m:] + shift) - kap,
+             "jac": lambda z: np.hstack((np.diag(z[m:] + shift),
+                                         np.diag(z[:m])))},
+            {"type": "ineq", "fun": lambda z: bounds - rows @ z[:m],
+             "jac": lambda z: np.hstack((-rows, np.zeros_like(rows)))}],
+        options={"ftol": 1e-14, "maxiter": 500})
+    z = np.clip(res.x, 0.0, 1.0)
+    violation = max(0.0, (kap - z[:m] * (z[m:] + shift)).max(),
+                    (rows @ z[:m] - bounds).max(initial=0.0))
+    return float(costs @ z[m:]), violation
+
+
+def test_exact_pairs_are_never_beaten_by_slsqp():
+    # an independent optimality check: SLSQP over the explicit rows of
+    # extract_constraints_naive on restricted games, pair by pair; the
+    # 12/3 dense game splits most of its pairs
+    games = [rand_game(n, 1 + seed % min(3, n - 1), density=0.3,
+                       seed=1600 + seed, a_vec=True)
+             for seed, n in zip(range(20), [3, 4, 5, 6] * 5)]
+    compared = splits = 0
+    for g in games + [dense_restriction_game(12, 3, seed=1)]:
+        n = g.n_targets
+        cset = cx.extract_constraints_naive(g)
+        d = compute_deltas(g)
+        for star in range(n):
+            for p_star in (0.0, 0.25, 0.5, 0.75, 1.0):
+                if g.unauditable[star] and p_star > 0:
+                    continue
+                oracle = _slsqp_pair(g, star, p_star, cset)
+                if oracle == "edge":
+                    continue
+                tally = Counter()
+                try:
+                    p, x, raw = solve_socp_fixed(g, star, p_star, tally)
+                except Infeasible:
+                    assert oracle is None, (g, star, p_star)
+                    continue
+                assert oracle is not None, (g, star, p_star)
+                splits += tally["splits"]
+                cost = p_star * d.delta_d[star] - raw
+                # the exact point itself meets every explicit row
+                assert cx.coverage_flow(g, p)[1] <= 1e-9
+                assert all(p[list(c.target_indices)].sum() <= c.bound + 1e-9
+                           for c in cset.constraints)
+                kappa = p_star * d.delta[star] + d.delta_pair[:, star]
+                kappa[star] = 0.0
+                assert (kappa <= p * (x + d.delta) + 1e-12).all()
+                slsqp_cost, violation = oracle
+                if violation <= 1e-9:
+                    compared += 1
+                    assert slsqp_cost >= cost - 1e-9, (g, star, p_star)
+    assert compared >= 200
+    assert splits >= 10
