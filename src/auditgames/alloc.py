@@ -1,10 +1,10 @@
 """Lifting coverage marginals to allocations and mixing into pure audits.
 
 ``recover_allocation`` turns a coverage vector into a resource-by-target
-probability matrix: the max flow of ``constraints.coverage_flow``, whose
-entries are multiples of 2^-45 with row sums at most 1, accepted when the
-coverage it misses is at most the LP module's 1e-9 tolerance.  The
-decomposition then writes that (doubly sub-stochastic) matrix as a convex
+probability matrix: the exact max flow of ``constraints.coverage_flow``,
+whose entries are multiples of 2^-45 with row sums at most 1, accepted
+when the coverage it misses is at most the LP module's 1e-9 tolerance.
+The decomposition then writes that (doubly sub-stochastic) matrix as a convex
 combination of 0/1 assignment matrices: the matrix is padded to a square
 doubly stochastic one with slack blocks, perfect matchings (scipy's
 Hopcroft-Karp) are peeled off one at a time, each zeroing its smallest

@@ -12,16 +12,20 @@ take C from :func:`coverage_set`, which runs the target-side algorithm
 while it enumerates no more than the 2^k resource subsets would, and the
 resource-side enumeration otherwise.
 
-Each row of C is a Hall inequality of the audit graph, so one max flow,
-:func:`coverage_flow`, decides whether p lifts to an allocation, builds
-that allocation and measures p's worst violation of any row of C
-(max-flow/min-cut).  It is the one membership test of the package.
-:class:`CoverageNetwork` is the same flow on floats, for the tsp
-subproblems, which route many nearby coverage vectors and read min cuts.
+Each row of C is a Hall inequality of the audit graph, so one max flow
+decides whether p lifts to an allocation, builds that allocation and
+measures p's worst violation of any row of C (max-flow/min-cut).
+:class:`CoverageNetwork` is that flow, the package's only one: its
+capacities are floored to multiples of 2^-45, which floats add and
+subtract exactly in [0, 1], so it is exact and needs no tolerance.
+:func:`coverage_flow` routes p on a fresh network, the one membership
+test of the package; the tsp subproblems keep networks, route many
+nearby coverage vectors on copies and read min cuts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,79 +371,23 @@ def allocation_matrix(game: AuditGame):
         shape=(n + k, var.size))
 
 
-def coverage_flow(game: AuditGame, p):
-    """(entries, shortfall) of the max flow source -> target i (capacity
-    p_i, p clipped to the box) -> allowed resource -> sink (capacity 1):
-    the k x n allocation, and sum(p) minus the flow, which by
-    max-flow/min-cut is max over target sets S of p(S) - |N(S)|.
-
-    scipy's ``maximum_flow`` takes int32 capacities (2^40 as int64 gives
-    flow 0 silently), so round 1 routes floor(p * 2^30) in units of 2^-30
-    and round 2 the rest of floor(p * 2^45) in units of 2^-45 on the
-    residual graph, reverse edges included, capacities clamped at that
-    rest's total L; it tries round 1's pair edges first, for a smaller
-    support.  Entries are multiples of 2^-45, rows sum to at most 1
-    exactly, columns of a liftable p are within 2^-45 of p, and the
-    shortfall is at most n * 2^-45 too high.  At L >= 2^31 round 1 left
-    2^16 - n units unrouted, so p is over (2^16 - 2n) * 2^-30 short, and
-    round 1's shortfall stands.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_flow
-
-    n, k = game.n_targets, game.n_resources
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    res, tgt = np.nonzero(allowed_pairs(game))
-    if not res.size:
-        return np.zeros((k, n)), float(p.sum())
-    # nodes: source 0, targets 1..n, resources n+1..n+k, sink n+k+1
-    sink = n + k + 1
-    heads = np.concatenate([np.zeros(n, dtype=int), 1 + tgt, 1 + n + res,
-                            1 + n + np.arange(k)])
-    tails = np.concatenate([1 + np.arange(n), 1 + n + res, 1 + tgt,
-                            np.full(k, sink)])
-
-    def route(*caps):  # source, pair, reverse pair and sink capacities
-        graph = csr_array((np.concatenate(caps).astype(np.int32),
-                           (heads, tails)), shape=(sink + 1, sink + 1))
-        flow = maximum_flow(graph, 0, sink).flow[1 + tgt, 1 + n + res]
-        return np.asarray(flow, dtype=np.int64)
-
-    one, full = 1 << 30, 1 << 45
-    flow = route(np.floor(p * one), np.full(res.size, one),
-                 np.zeros(res.size), np.full(k, one)) << 15  # 2^-45 units
-    # bincount sums in float64, exactly: each sum is an integer <= 2^45
-    left = np.floor(p * full) - np.bincount(tgt, flow, n)
-    total = int(left.sum())
-    if 0 < total < 1 << 31:
-        spare, back, sink_spare = (np.minimum(c, total) for c in (
-            full - flow, flow, full - np.bincount(res, flow, k)))
-        more = route(left, np.where(flow > 0, spare, 0), back, sink_spare)
-        if more.sum() < total:
-            more = route(left, spare, back, sink_spare)
-        flow = flow + more
-    entries = np.zeros((k, n))
-    entries[res, tgt] = flow / full
-    return entries, max(0.0, float(p.sum() - entries.sum()))
-
-
-FLOW_TOL = 1e-12
+UNIT = 2.0 ** -45  # the flow's grid: capacities are floored to it
 
 
 class CoverageNetwork:
-    """A float max flow source -> target i (capacity ``cap[i]``) ->
-    allowed resource -> sink (capacity 1), kept as each resource's flow
-    per target, for callers that route many nearby coverage vectors.
+    """A max flow source -> target i (capacity ``cap[i]``) -> allowed
+    resource -> sink (capacity 1), kept as each resource's flow per
+    target, for callers that route many nearby coverage vectors.
 
     ``route`` raises some targets' capacities and augments along shortest
     residual paths (Edmonds-Karp), each target's direct edges first.  An
     augmenting path never sends flow back into the source, so targets
     routed by an earlier call stay routed: they are routed first, and
-    later calls see only the residual graph.  Floats route exactly what
-    they can; an edge is residual, and a target short of its capacity,
-    when the gap exceeds ``FLOW_TOL``, and the min cut is read off those
-    residual edges.  So a cut's targets carry within ``FLOW_TOL`` of the
-    resources they reach.  Copies share the game's edges.
+    later calls see only the residual graph.  Capacities are floored to
+    multiples of ``UNIT`` = 2^-45, so every flow, load and routed amount
+    is such a multiple in [0, 1]; floats add and subtract those exactly,
+    so the flow is exact and its min cut, read off the residual edges, is
+    exact too.  Copies share the game's edges.
     """
 
     def __init__(self, game: AuditGame):
@@ -469,26 +417,25 @@ class CoverageNetwork:
             self.routed[i] = self.cap[i] = 0.0
 
     def route(self, caps: dict) -> set:
-        """Set the capacities ``caps`` (target -> coverage, no less than
-        the target routes now) and route a maximum flow.  Returns the
-        targets on the source side of a min cut (those reachable from a
-        target short of its capacity), empty when every capacity routes.
-        Such a set needs more coverage than the resources it reaches."""
+        """Set the capacities ``caps`` (target -> coverage in [0, 1], no
+        less than the target routes now), floored to the grid, and route
+        a maximum flow.  Returns the targets on the source side of a min
+        cut (those reachable from a target short of its capacity), empty
+        when every capacity routes.  Such a set needs more coverage than
+        the resources it reaches."""
         on, load, cap, routed = self.on, self.load, self.cap, self.routed
         for i, c in caps.items():
-            cap[i] = c
+            cap[i] = math.floor(c / UNIT) * UNIT
             for j in self.resources[i]:
-                if cap[i] - routed[i] <= FLOW_TOL:
+                if cap[i] <= routed[i]:
                     break
-                room = 1.0 - load[j]
-                if room > FLOW_TOL:
-                    push = min(room, cap[i] - routed[i])
+                if load[j] < 1.0:
+                    push = min(1.0 - load[j], cap[i] - routed[i])
                     on[j][i] = on[j].get(i, 0.0) + push
                     load[j] += push
                     routed[i] += push
         while True:
-            starts = [i for i in range(len(cap))
-                      if cap[i] - routed[i] > FLOW_TOL]
+            starts = [i for i in range(len(cap)) if routed[i] < cap[i]]
             reached = dict.fromkeys(starts)  # target -> resource before it
             via = {}  # resource -> target before it
             end = None
@@ -497,11 +444,11 @@ class CoverageNetwork:
                     if j in via:
                         continue
                     via[j] = i
-                    if load[j] < 1.0 - FLOW_TOL:
+                    if load[j] < 1.0:
                         end = j
                         break
                     for back, amount in on[j].items():
-                        if amount > FLOW_TOL and back not in reached:
+                        if amount > 0.0 and back not in reached:
                             reached[back] = j
                             starts.append(back)
                 if end is not None:
@@ -522,6 +469,22 @@ class CoverageNetwork:
                 if j is not None:
                     on[j][i] -= push
             routed[i] += push
+
+
+def coverage_flow(game: AuditGame, p):
+    """(entries, shortfall) of the max flow of p clipped to the box on a
+    fresh :class:`CoverageNetwork`: the k x n allocation, and sum(p) minus
+    the flow, which by max-flow/min-cut is max over target sets S of
+    p(S) - |N(S)|.  Entries are multiples of 2^-45, rows sum to at most 1
+    exactly, columns of a liftable p are within 2^-45 of p, and the
+    shortfall is at most n * 2^-45 too high."""
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    net = CoverageNetwork(game)
+    net.route(dict(enumerate(p.tolist())))
+    entries = np.zeros((game.n_resources, game.n_targets))
+    for j, held in enumerate(net.on):
+        entries[j, list(held)] = list(held.values())
+    return entries, max(0.0, float(p.sum() - entries.sum()))
 
 
 def liftable_to_grid(game: AuditGame, p, tol: float = IMPLIES_TOL) -> bool:

@@ -292,24 +292,27 @@ def resolve_formulation(game: AuditGame, cfg: SolveConfig):
         return "grid", None, info
 
 
-def verify_solution(game: AuditGame, star: int, p, x: float,
+def verify_solution(game: AuditGame, star: int, p, x,
                     tol: float = VERIFY_TOL) -> dict:
     """Residuals of the original program at (p, x); raises on violation.
-    ``lift`` (see ``coverage_flow``) must stay within FEAS_TOL, the
-    tolerance :func:`alloc.recover_allocation` lifts p to."""
+    ``x`` is one punishment rate or one per target, the attacked
+    target's rate ``x[star]`` entering its own term.  ``lift`` (see
+    ``coverage_flow``) must stay within FEAS_TOL, the tolerance
+    :func:`alloc.recover_allocation` lifts p to."""
     d = compute_deltas(game)
     p = np.asarray(p, dtype=float)
-    lhs = (p * (-x - d.delta) + p[star] * (x + d.delta[star])
+    x = np.broadcast_to(np.asarray(x, dtype=float), p.shape)
+    lhs = (p * (-x - d.delta) + p[star] * (x[star] + d.delta[star])
            + d.delta_pair[:, star])
     br = float(np.delete(lhs, star).max(initial=0.0))
-    box = max(0.0, float((-p).max()), float((p - 1).max()))
-    residuals = {"best_response": br, "box": box,
-                 "x_box": max(0.0, -x, x - 1.0),
+    residuals = {"best_response": br,
+                 "box": max(0.0, float((-p).max()), float((p - 1).max())),
+                 "x_box": max(0.0, float((-x).max()), float((x - 1).max())),
                  "lift": cx.coverage_flow(game, p)[1]}
     if max(residuals.values()) > tol or residuals["lift"] > FEAS_TOL:
         raise VerificationFailed(
-            f"solution for target {star} at x = {x:g} fails verification: "
-            f"residuals {residuals}")
+            f"solution for target {star} at x = {x[star]:g} fails "
+            f"verification: residuals {residuals}")
     return residuals
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import constraints as cx
 from .errors import AllProgramsInfeasible, Infeasible, NonpositiveKappa
-from .fpt import CoverageSolution, SolveConfig
+from .fpt import CoverageSolution, SolveConfig, verify_solution, x_grid
 from .model import AuditGame, compute_deltas
 
 DEFAULT_P_STEP = 0.01  # a grid point costs a few max flows per attacked target
@@ -191,14 +191,12 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
     subproblems, one :func:`solve_socp_fixed` per (attacked target, grid
     coverage) pair.  The grid step is ``cfg.epsilon`` (default 0.01
     here); ``cfg.enumeration_cap`` is ignored, as no C is enumerated.
+    With ``cfg.verify`` the solution is checked, and its residuals
+    reported, by :func:`fpt.verify_solution`, as fpt's and fptas' are.
     """
     if cfg is None:
         cfg = SolveConfig(epsilon=DEFAULT_P_STEP)
-    step = cfg.epsilon
-    grid_points = int(math.floor(1.0 / step + 1e-12))
-    grid = [i * step for i in range(grid_points + 1)]
-    if grid[-1] < 1.0 - 1e-12:
-        grid.append(1.0)
+    grid = x_grid(cfg.epsilon)
     best = None
     solved = 0
     infeasible = 0
@@ -215,35 +213,22 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
             solved += 1
             key = (game.utilities[star][1] + raw, -p_star, -star)
             if best is None or key > best[0]:
-                best = (key, p, x, star, p_star)
+                best = (key, p, x, star)
     if best is None:
         raise AllProgramsInfeasible("no coverage grid point is feasible")
-    _, p, x, star, p_star = best
-    return CoverageSolution(
+    _, p, x, star = best
+    sol = CoverageSolution(
         p=p, x=x, objective=best[0][0], star=star,
         formulation="transformed", method="tsp",
         details={
-            "p_step": step,
+            "p_step": cfg.epsilon,
             "subproblems_solved": solved,
             "subproblems_infeasible": infeasible,
             "flows": tally["flows"],
             "splits": tally["splits"],
             "x_star": float(x[star]),
-            "residuals": _px_residuals(game, star, p, x),
         },
     )
-
-
-def _px_residuals(game: AuditGame, star: int, p, x) -> dict:
-    """Constraint residuals of a per-target-punishment solution; ``lift``
-    is the coverage no allocation can carry (see ``coverage_flow``)."""
-    d = compute_deltas(game)
-    lhs = (p[star] * (x[star] + d.delta[star]) + d.delta_pair[:, star]
-           - p * (x + d.delta))
-    return {
-        "best_response": float(np.delete(lhs, star).max(initial=0.0)),
-        "lift": cx.coverage_flow(game, p)[1],
-        "box": max(0.0, float((-p).max()), float((p - 1).max()),
-                   float((-x).max()), float((x - 1).max())),
-        "x_star": float(x[star]),
-    }
+    if cfg.verify:
+        sol.details["residuals"] = verify_solution(game, star, p, x)
+    return sol

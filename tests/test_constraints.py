@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -27,6 +28,7 @@ from helpers import (
     brute_force_connected_subsets,
     dense_restriction_game,
     explosion_game,
+    grouped_game,
     in_coverage_set,
     rand_game,
 )
@@ -251,31 +253,54 @@ def test_projection_matches_grid_liftability():
 
 
 def test_coverage_network_cut_is_the_worst_hall_violation():
-    # the float network routes what coverage_flow routes, and its cut's
-    # targets overfill the resources they reach by the shortfall
+    # against brute force over every target set S: the flow misses
+    # max_S p(S) - |N(S)|, floored at 0, and its cut attains that; every
+    # amount in the network is a multiple of the 2^-45 grid
     rng = np.random.default_rng(8)
+    unit = 2.0 ** -45
     cuts = 0
     for seed in range(30):
         n = 3 + seed % 4
         g = rand_game(n, 1 + seed % min(3, n - 1), density=0.3,
                       seed=300 + seed)
         p = rng.random(n) * rng.uniform(0.3, 1.0)
+        fmap = audit_sets(g)
+
+        def violation(targets):
+            reach = set().union(*(fmap[i] for i in targets))
+            return p[sorted(targets)].sum() - len(reach)
+
+        worst = max(0.0, *(violation(s) for size in range(1, n + 1)
+                           for s in combinations(range(n), size)))
         net = CoverageNetwork(g)
         cut = net.route(dict(enumerate(p.tolist())))
-        _, shortfall = coverage_flow(g, p)
-        # past a lift coverage_flow stops at its 2^-30 round
-        tol = n * 2.0**-30
-        assert sum(net.routed) == pytest.approx(p.sum() - shortfall,
-                                                abs=tol)
-        if shortfall <= 1e-9:
+        tol = n * unit
+        assert p.sum() - sum(net.routed) == pytest.approx(worst, abs=tol)
+        assert coverage_flow(g, p)[1] == pytest.approx(worst, abs=tol)
+        amounts = ([v for held in net.on for v in held.values()]
+                   + net.load + net.routed)
+        assert all((v / unit).is_integer() for v in amounts)
+        assert all(load <= 1.0 for load in net.load)
+        if not worst:
             assert not cut
             continue
         cuts += 1
-        fmap = audit_sets(g)
-        reach = set().union(*(fmap[i] for i in cut))
-        assert p[sorted(cut)].sum() - len(reach) == pytest.approx(
-            shortfall, abs=tol)
+        assert violation(cut) == pytest.approx(worst, abs=tol)
     assert cuts >= 5
+
+
+def test_coverage_flow_shortfall_is_exact_far_from_the_polytope():
+    # groups of 10 resources audit disjoint blocks of 20 targets, so the
+    # worst Hall violation is the sum over blocks of p(block) - 10 where
+    # positive, however much p overfills them
+    g = grouped_game(80, 40, 10)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        p = rng.random(80)
+        worst = sum(max(0.0, p[b:b + 20].sum() - 10.0)
+                    for b in range(0, 80, 20))
+        assert coverage_flow(g, p)[1] == pytest.approx(
+            worst, abs=80 * 2.0 ** -45)
 
 
 def test_coverage_network_keeps_earlier_targets_routed():

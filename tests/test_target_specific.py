@@ -245,7 +245,7 @@ def test_px_reports_lift_residual():
     for seed in range(3):
         g = rand_game(5, 2, density=0.3, seed=30 + seed, a_vec=True)
         res = solve_px(g, SolveConfig(epsilon=0.1)).details["residuals"]
-        assert set(res) == {"best_response", "lift", "box", "x_star"}
+        assert set(res) == {"best_response", "lift", "box", "x_box"}
         assert 0.0 <= res["lift"] <= 1e-9
 
 
