@@ -5,12 +5,15 @@ probability matrix: the exact max flow of ``constraints.coverage_flow``,
 whose entries are multiples of 2^-45 with row sums at most 1, accepted
 when the coverage it misses is at most the LP module's 1e-9 tolerance.
 The decomposition then writes that (doubly sub-stochastic) matrix as a convex
-combination of 0/1 assignment matrices: the matrix is padded to a square
-doubly stochastic one with slack blocks, perfect matchings (scipy's
-Hopcroft-Karp) are peeled off one at a time, each zeroing its smallest
-matched entry, and the slack part of each matching is stripped away.
-A row or column that overshoots 1 by no more than the solvers'
-verification tolerance is scaled back to 1 first.
+combination of pure audits, each a tuple of (resource, target) pairs.  It
+counts in integer units of ``constraints.UNIT`` = 2^-45: the matrix is
+floored to units (a no-op on flow output) and padded with its exact line
+slacks to a square matrix whose lines all sum to 2^45, perfect matchings
+(scipy's Hopcroft-Karp) are peeled off one at a time, each subtracting its
+smallest matched entry, which it zeroes, and the slack part of each
+matching is stripped away.  The weights are whole multiples of 2^-45 that
+sum to exactly 1.  A row or column that overshoots 1 by no more than the
+solvers' verification tolerance is scaled back to 1 first.
 """
 
 from __future__ import annotations
@@ -19,15 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import coverage_flow
+from .constraints import UNIT, coverage_flow
 from .errors import Infeasible, NumericalResidual
 from .fpt import VERIFY_TOL
 from .lp import FEAS_TOL
 from .model import AuditGame
 
 RESIDUAL_TOL = 1e-9
-WEIGHT_FLOOR = 1e-12   # weights below this are absorbed, not emitted
-ENTRY_FLOOR = 1e-14    # matrix entries below this count as zero
+ONE = 2 ** 45  # probability 1 in units of UNIT
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,18 @@ class AllocationMatrix:
 
 @dataclass(frozen=True)
 class PureStrategyMixture:
-    """Weighted 0/1 assignments reconstructing an allocation matrix."""
+    """Weighted pure audits reconstructing a k x n allocation matrix; each
+    audit is a tuple of (resource, target) pairs, at most one per line."""
 
     weights: tuple
-    assignments: tuple  # of k x n 0/1 ndarrays
+    assignments: tuple
+    shape: tuple
 
     def reconstruct(self) -> np.ndarray:
-        total = np.zeros_like(self.assignments[0], dtype=float)
-        for w, mat in zip(self.weights, self.assignments):
-            total += w * mat
+        total = np.zeros(self.shape)
+        for w, pairs in zip(self.weights, self.assignments):
+            idx = np.array(pairs, dtype=int).reshape(-1, 2)
+            total[idx[:, 0], idx[:, 1]] += w
         return total
 
     @property
@@ -65,17 +70,6 @@ def recover_allocation(game: AuditGame, p) -> AllocationMatrix:
     return AllocationMatrix(entries=entries)
 
 
-def _pad_doubly_stochastic(m: np.ndarray) -> np.ndarray:
-    """Embed a k x n sub-stochastic matrix into a (k+n) square doubly
-    stochastic one: [[M, diag(row slack)], [diag(col slack), M.T]]."""
-    k, n = m.shape
-    row_slack = 1.0 - m.sum(axis=1)
-    col_slack = 1.0 - m.sum(axis=0)
-    top = np.hstack([m, np.diag(row_slack)])
-    bottom = np.hstack([np.diag(col_slack), m.T])
-    return np.vstack([top, bottom])
-
-
 def _perfect_matching(support: np.ndarray):
     """Perfect matching on a square boolean support by Hopcroft-Karp.
 
@@ -90,11 +84,11 @@ def _perfect_matching(support: np.ndarray):
 
 
 def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
-    """Deterministic Birkhoff-style peeling of the padded matrix.
+    """Deterministic Birkhoff-style peeling of the padded matrix in units.
 
     Each round takes a perfect matching of the support and peels it off
-    with the weight of its smallest matched entry, so that entry is zeroed
-    and the component count stays below the padded nonzero count plus one.
+    with its smallest matched entry, so that entry is zeroed and the
+    component count stays below the padded nonzero count plus one.
     Identical stripped assignments are merged.
     """
     m = np.asarray(alloc.entries, dtype=float)
@@ -112,50 +106,27 @@ def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
     m = m / np.maximum(m.sum(axis=1, keepdims=True), 1.0)
     m = m / np.maximum(m.sum(axis=0, keepdims=True), 1.0)
 
-    d = _pad_doubly_stochastic(m)
-    size = k + n
+    units = np.floor(m / UNIT).astype(np.int64)
+    d = np.block([[units, np.diag(ONE - units.sum(axis=1))],
+                  [np.diag(ONE - units.sum(axis=0)), units.T]])
+    rows = np.arange(k + n)
     collected = {}
-    remaining = 1.0
-    for _ in range(size * size + 1):
-        if remaining <= RESIDUAL_TOL:
-            break
-        support = d > ENTRY_FLOOR
-        if not support.any():
-            break
-        match = _perfect_matching(support)
+    left = ONE  # every line of d sums to this
+    while left:
+        match = _perfect_matching(d > 0)
         if match is None:
             raise NumericalResidual("no perfect matching on padded support")
-        rows = np.arange(size)
-        smallest = int(np.argmin(d[rows, match]))
-        weight = min(float(d[smallest, match[smallest]]), remaining)
-        if weight <= WEIGHT_FLOOR:
-            # absorb a vanishing weight by zeroing its smallest entry
-            d[smallest, match[smallest]] = 0.0
-            continue
+        weight = int(d[rows, match].min())
         d[rows, match] -= weight
-        d[d < ENTRY_FLOOR] = 0.0
-        remaining -= weight
+        left -= weight
         # strip slack-touching edges: keep only the real k x n block
-        key = tuple(
-            (r, match[r]) for r in range(k) if match[r] < n
-        )
-        collected[key] = collected.get(key, 0.0) + weight
-    if remaining > RESIDUAL_TOL:
-        raise NumericalResidual(
-            f"decomposition left residual mass {remaining:.2e}")
-    if remaining > 0:
-        collected[()] = collected.get((), 0.0) + remaining
+        key = tuple((r, int(c)) for r, c in enumerate(match[:k]) if c < n)
+        collected[key] = collected.get(key, 0) + weight
 
-    weights = []
-    assignments = []
-    for key in sorted(collected):
-        mat = np.zeros((k, n))
-        for r, c in key:
-            mat[r, c] = 1.0
-        weights.append(collected[key])
-        assignments.append(mat)
-    mixture = PureStrategyMixture(weights=tuple(weights),
-                                  assignments=tuple(assignments))
+    keys = sorted(collected)
+    mixture = PureStrategyMixture(
+        weights=tuple(collected[key] * UNIT for key in keys),
+        assignments=tuple(keys), shape=(k, n))
     err = float(np.abs(mixture.reconstruct() - m).max())
     if err > RESIDUAL_TOL:
         raise NumericalResidual(f"reconstruction error {err:.2e}")

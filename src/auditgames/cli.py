@@ -257,11 +257,8 @@ def _cmd_decompose(args) -> int:
     alloc = recover_allocation(game, np.asarray(report["p"], dtype=float))
     mixture = bvn_decompose(alloc)
     out = {
-        "weights": [float(w) for w in mixture.weights],
-        "assignments": [
-            sorted([int(r), int(c)] for r, c in np.argwhere(a > 0.5))
-            for a in mixture.assignments
-        ],
+        "weights": list(mixture.weights),
+        "assignments": list(mixture.assignments),
         "column_marginals": [float(v) for v in mixture.column_marginals],
         "components": len(mixture.weights),
     }

@@ -80,10 +80,6 @@ class MergedTargets:
     members: tuple           # per class: tuple of target indices
     n_targets: int
 
-    @property
-    def weights(self) -> tuple:
-        return tuple(len(m) for m in self.members)
-
 
 @dataclass(frozen=True)
 class IntersectionGraph:

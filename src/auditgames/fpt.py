@@ -42,7 +42,6 @@ class SolveConfig:
     formulation: str = "auto"  # grid | transformed | auto
     enumeration_cap: int = cx.DEFAULT_SUBGRAPH_CAP  # tsp ignores it
     root_bits: int = 20
-    verify: bool = True
     screen: bool = True  # cheap per-(star, x) infeasibility pre-check
 
     def __post_init__(self):
@@ -425,8 +424,7 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
                 x > 0.01 or delta_star > 2.0 ** -game.input_bits),
         },
     )
-    if cfg.verify:
-        sol.details["residuals"] = verify_solution(game, star, p, x)
+    sol.details["residuals"] = verify_solution(game, star, p, x)
     return sol
 
 

@@ -68,19 +68,6 @@ class DeltaTable:
     delta_pair: np.ndarray
 
 
-@dataclass(frozen=True)
-class AuditSetMap:
-    """Per-target set of resources allowed to audit it."""
-
-    audit_sets: tuple  # tuple of frozensets of resource indices
-
-    def __getitem__(self, target: int) -> frozenset:
-        return self.audit_sets[target]
-
-    def __len__(self) -> int:
-        return len(self.audit_sets)
-
-
 def _check_utilities(utilities, input_bits, lenient):
     violations = []
     warnings = []
@@ -205,14 +192,15 @@ def compute_deltas(game: AuditGame) -> DeltaTable:
     return DeltaTable(delta_d=delta_d, delta=delta, delta_pair=delta_pair)
 
 
-def audit_sets(game: AuditGame) -> AuditSetMap:
-    """F(t_i): the resources not excluded from target i by the restrictions."""
+def audit_sets(game: AuditGame) -> tuple:
+    """F(t_i) per target i: the frozenset of resources not excluded from
+    target i by the restrictions."""
     sets = []
     for i in range(game.n_targets):
         sets.append(frozenset(
             j for j in range(game.n_resources) if (j, i) not in game.restrictions
         ))
-    return AuditSetMap(audit_sets=tuple(sets))
+    return tuple(sets)
 
 
 # --- instance files -------------------------------------------------------

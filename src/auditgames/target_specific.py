@@ -191,8 +191,8 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
     subproblems, one :func:`solve_socp_fixed` per (attacked target, grid
     coverage) pair.  The grid step is ``cfg.epsilon`` (default 0.01
     here); ``cfg.enumeration_cap`` is ignored, as no C is enumerated.
-    With ``cfg.verify`` the solution is checked, and its residuals
-    reported, by :func:`fpt.verify_solution`, as fpt's and fptas' are.
+    The solution is checked, and its residuals reported, by
+    :func:`fpt.verify_solution`, as fpt's and fptas' are.
     """
     if cfg is None:
         cfg = SolveConfig(epsilon=DEFAULT_P_STEP)
@@ -229,6 +229,5 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
             "x_star": float(x[star]),
         },
     )
-    if cfg.verify:
-        sol.details["residuals"] = verify_solution(game, star, p, x)
+    sol.details["residuals"] = verify_solution(game, star, p, x)
     return sol

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from auditgames.alloc import (
 )
 from auditgames.errors import Infeasible, NumericalResidual
 from auditgames.fpt import SolveConfig, solve_fpt
-from auditgames.lp import solve_feasibility
 from auditgames.model import validate_game
 
 from helpers import dense_restriction_game, rand_game
@@ -25,6 +26,14 @@ def random_substochastic(rng, k, n, sparsity=0.0):
     m /= np.maximum(1.0, m.sum(axis=1, keepdims=True) * rng.uniform(1.0, 1.4))
     m /= np.maximum(1.0, m.sum(axis=0, keepdims=True) * rng.uniform(1.0, 1.4))
     return m
+
+
+def assert_pure_audit(pairs, k, n):
+    # each resource audits at most one target, each target at most once
+    rows = [r for r, _ in pairs]
+    cols = [c for _, c in pairs]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(0 <= r < k for r in rows) and all(0 <= c < n for c in cols)
 
 
 def test_recover_unique_single_resource():
@@ -76,6 +85,9 @@ def test_tight_lift_fills_resources_without_overshoot():
         assert np.abs(am.entries.sum(axis=0) - p).max() <= 1e-12
         mix = bvn_decompose(am)
         assert np.abs(mix.column_marginals - p).max() <= 1e-9
+        # the flow's 2^-45 grid is peeled exactly
+        assert np.array_equal(mix.reconstruct(), am.entries)
+        assert math.fsum(mix.weights) == 1.0
 
 
 def test_lift_reroutes_leftover_through_an_unused_edge():
@@ -100,7 +112,7 @@ def test_doubly_stochastic_two_by_two():
 def test_identity_is_its_own_mixture():
     mix = bvn_decompose(AllocationMatrix(np.eye(3)))
     assert mix.weights == (1.0,)
-    assert np.array_equal(mix.assignments[0], np.eye(3))
+    assert mix.assignments == (((0, 0), (1, 1), (2, 2)),)
 
 
 def test_substochastic_example():
@@ -123,9 +135,8 @@ def test_random_matrices_reconstruct():
         assert sum(mix.weights) == pytest.approx(1.0, abs=1e-9)
         padded_nnz = 2 * int((m > 0).sum()) + k + n
         assert len(mix.weights) <= padded_nnz + 1
-        for a in mix.assignments:
-            assert set(np.unique(a)) <= {0.0, 1.0}
-            assert np.all(a.sum(axis=0) <= 1) and np.all(a.sum(axis=1) <= 1)
+        for pairs in mix.assignments:
+            assert_pure_audit(pairs, k, n)
 
 
 def test_sparse_wide_matrix_decomposes():
@@ -136,8 +147,8 @@ def test_sparse_wide_matrix_decomposes():
     assert np.abs(mix.reconstruct() - m).max() <= 1e-9
     padded_nnz = 2 * int((m > 0).sum()) + 20 + 400
     assert len(mix.weights) <= padded_nnz + 1
-    for a in mix.assignments:
-        assert set(np.unique(a)) <= {0.0, 1.0}
+    for pairs in mix.assignments:
+        assert_pure_audit(pairs, 20, 400)
 
 
 def test_perfect_matching_stays_in_support():
@@ -162,8 +173,7 @@ def test_decomposition_is_deterministic():
     a = bvn_decompose(AllocationMatrix(m))
     b = bvn_decompose(AllocationMatrix(m))
     assert a.weights == b.weights
-    assert all(np.array_equal(x, y)
-               for x, y in zip(a.assignments, b.assignments, strict=True))
+    assert a.assignments == b.assignments
 
 
 def test_end_to_end_marginals():
