@@ -6,10 +6,13 @@ coverage becomes a rational function of ``(p_star, x)``) or its coverage
 is zero.  Sorting the pairwise attacker offsets splits the square into
 bands between consecutive hyperbolas ``p (x + D_star) + offset = 0``;
 inside one band the problem reduces to two variables with constraint
-boundaries ``p <= f_b(x)`` for rational ``f_b``.  Each band is solved by
-collecting candidates at domain corners, at stationary points of the
-objective along every boundary, and at pairwise boundary intersections,
-with roots isolated to an additive ``2**-l``.
+boundaries ``p <= f_b(x)`` for rational ``f_b``.  A kinetic sweep in x
+traces each band's lower envelope of upper bounds and upper envelope of
+lower bounds; the candidates are the domain corners, the left ends of the
+feasible x-intervals at coverage 0 and 1, and along the upper envelope
+the stationary points of the objective on each piece, the piece ends and
+the meets with the lower envelope, with roots isolated to an additive
+``2**-l``.
 
 All boundary algebra is kept in cleared polynomial form
 ``p * den(x) <= num(x)`` so that vanishing or sign-changing denominators
@@ -19,7 +22,9 @@ points where the denominator is safely signed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,10 +45,14 @@ from .poly import (
     poly_mul,
     poly_sub,
     primitive_part,
+    sign_after_zero,
 )
 
 ON_CURVE_TOL = 1e-9
 FEAS_TOL = 1e-7
+# A denominator within this of 0 at an end of [0, 1] may fall inside the
+# 1e-12 band where ``_bounds_at`` takes it as vanishing.
+NEAR_POLE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -315,66 +324,64 @@ def _band_membership(eq: SubproblemEQ, p: float, x: float):
     return True, on_open
 
 
-def _bounds_at(eq: SubproblemEQ, x: float):
-    """(upper, lower, feasible) envelope limits for p at this x, derived
-    sign-safely from every cleared boundary."""
+def _bounds_at(boundaries, x: float):
+    """(upper, lower, feasible) limits for p at this x, derived
+    sign-safely from each of ``boundaries`` in cleared form."""
     upper = 1.0
     lower = 0.0
-    for b in eq.boundaries:
+    for b in boundaries:
         num_v, den_v = b.values(x)
-        scale = max(1.0, abs(num_v))
-        if b.is_upper:
-            if den_v > 1e-12:
+        if abs(den_v) > 1e-12:
+            # p den <= num bounds p from above where den > 0
+            if b.is_upper == (den_v > 0):
                 upper = min(upper, num_v / den_v)
-            elif den_v < -1e-12:
+            else:
                 lower = max(lower, num_v / den_v)
-            elif num_v < -FEAS_TOL * scale:
-                return upper, lower, False
-        else:
-            if den_v > 1e-12:
-                lower = max(lower, num_v / den_v)
-            elif den_v < -1e-12:
-                upper = min(upper, num_v / den_v)
-            elif num_v > FEAS_TOL * scale:
-                return upper, lower, False
+        elif ((num_v if b.is_upper else -num_v)
+              < -FEAS_TOL * max(1.0, abs(num_v))):
+            return upper, lower, False
     return upper, lower, True
 
 
-def make_feasible(candidates, eq: SubproblemEQ, game_const: float = 0.0):
+def make_feasible(candidates, eq: SubproblemEQ, game_const: float = 0.0,
+                  envelope=None):
     """Project raw candidates onto the feasible region of the band.
 
     Each candidate is (x, forced_p or None, provenance).  The coverage is
-    set to the boundary envelope ``min(1, min_b f_b(x))`` unless forced;
-    candidates whose projected coverage is negative, below the band's
-    lower bound, or on the strict band curve are marked infeasible.
+    set to the upper envelope ``min(1, min_b f_b(x))`` unless forced;
+    candidates whose projected coverage is negative, below the lower
+    envelope, or on the strict band curve are marked infeasible.
+    ``envelope(x)`` gives (upper, lower, feasible) at x; by default every
+    boundary of the band is evaluated.
     """
+    if envelope is None:
+        def envelope(x):
+            return _bounds_at(eq.boundaries, x)
     out = []
     for x_raw, forced_p, provenance in candidates:
         x = min(1.0, max(0.0, float(x_raw)))
-        upper, lower, ok = _bounds_at(eq, x)
-        ps = []
-        if forced_p is None:
-            ps.append(upper)
+        upper, lower, ok = envelope(x)
+        if eq.star_pinned:
+            p = min(0.0, upper)
+        elif forced_p is None:
+            p = upper
         else:
             # never exceed the envelope: recovery must stay inside C
-            ps.append(min(float(forced_p), upper))
-        if eq.star_pinned:
-            ps = [min(0.0, upper)]
-        for p in ps:
-            p = min(p, 1.0)
-            feasible = ok and p >= -FEAS_TOL and p >= lower - FEAS_TOL
-            p = min(1.0, max(0.0, p))
-            in_band, on_open = (False, False)
-            if feasible:
-                in_band, on_open = _band_membership(eq, p, x)
-                feasible = in_band and not on_open
-            out.append(CandidatePoint(
-                p_n=p, x=x,
-                objective=_objective(eq, game_const, p, x),
-                provenance=provenance,
-                feasible=feasible,
-                on_open_boundary=on_open,
-            ))
+            p = min(float(forced_p), upper)
+        p = min(p, 1.0)
+        feasible = ok and p >= -FEAS_TOL and p >= lower - FEAS_TOL
+        p = min(1.0, max(0.0, p))
+        on_open = False
+        if feasible:
+            in_band, on_open = _band_membership(eq, p, x)
+            feasible = in_band and not on_open
+        out.append(CandidatePoint(
+            p_n=p, x=x,
+            objective=_objective(eq, game_const, p, x),
+            provenance=provenance,
+            feasible=feasible,
+            on_open_boundary=on_open,
+        ))
     return out
 
 
@@ -385,8 +392,8 @@ class _RootCache:
     so the bands share boundary objects.  Each distinct ``(num, den)``
     gets a small id, and root requests are answered at three levels:
 
-    - per boundary id: its stationary points, and its condition at a
-      fixed coverage;
+    - per boundary id: its stationary points, its condition at a fixed
+      coverage, and its denominator's sign changes;
     - per pair of ids: the pair's crossings, where ``n1 d2 - n2 d1``
       vanishes.  Its terms are kept per (boundary, denominator), since
       one row meets every coverage row over the same ``x + D_star``;
@@ -394,7 +401,8 @@ class _RootCache:
       since ``isolate_roots`` gives ``c * g`` and ``g`` the same brackets.
       The entry is the ``RootApprox`` tuple, or None for zero.
 
-    Every request counts once: as an isolation, or as a hit.
+    Every request counts once: as an isolation, or as a hit.  The band
+    sweeps add their envelope pieces and crossing requests.
     """
 
     def __init__(self):
@@ -405,8 +413,11 @@ class _RootCache:
         self.fixed_p = {}
         self.crossings = {}
         self.terms = {}
+        self.profiles = {}
         self.isolated = 0
         self.hits = 0
+        self.pieces = 0
+        self.crossings_requested = 0
 
     def algebra_for(self, game: AuditGame, star: int, cset) -> _TargetAlgebra:
         if self.algebra is None:
@@ -439,20 +450,47 @@ class _RootCache:
             term = self.terms[key] = poly_mul(b.num, den, cap=cap)
         return term
 
-    def crossing_points(self, b1: Boundary, id1: int, b2: Boundary,
-                        id2: int, l: int, cap: int) -> tuple:
-        """Bracket points of the crossings of boundaries ``b1`` and ``b2``,
-        whose ids are ``id1`` and ``id2``."""
-        if id2 < id1:
+    def crossing(self, b1: Boundary, id1: int, b2: Boundary, id2: int,
+                 l: int, cap: int):
+        """Roots of ``n1 d2 - n2 d1`` for boundaries ``b1`` and ``b2``
+        (ids ``id1`` and ``id2``), None when it vanishes, and its sign
+        just right of 0."""
+        swap = id2 < id1
+        if swap:
             b1, id1, b2, id2 = b2, id2, b1, id1
         key = (id1, id2, l)
-        if key in self.crossings:
+        found = self.crossings.get(key)
+        if found is None:
+            cross = poly_sub(self._term(b1, id1, b2.den, cap),
+                             self._term(b2, id2, b1.den, cap))
+            found = self.crossings[key] = (self.roots(cross, l),
+                                           sign_after_zero(cross))
+        else:
             self.hits += 1
-            return self.crossings[key]
-        roots = self.roots(poly_sub(self._term(b1, id1, b2.den, cap),
-                                    self._term(b2, id2, b1.den, cap)), l)
-        points = self.crossings[key] = _bracket_points(roots)
-        return points
+        roots, sign = found
+        return roots, -sign if swap else sign
+
+    def profile(self, b: Boundary, bid: int, l: int):
+        """The sign of ``b.den`` just right of 0, its sign changes in
+        (0, 1), and whether ``b`` can come near a pole on [0, 1]: its
+        denominator vanishes, has a root in (0, 1), or is within
+        ``NEAR_POLE`` of 0 at an end."""
+        key = (bid, b.origin, l)
+        found = self.profiles.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        roots = self.roots(b.den, l)
+        if roots is None:
+            found = (0, (), True)
+        else:
+            near_pole = bool(roots) or any(
+                abs(den_v) <= NEAR_POLE
+                for x in (0.0, 1.0) for den_v in (b.den(x), b.values(x)[1]))
+            found = (sign_after_zero(b.den),
+                     tuple(r for r in roots if r.sign_change), near_pole)
+        self.profiles[key] = found
+        return found
 
 
 def _bracket_points(roots) -> tuple:
@@ -466,10 +504,10 @@ def _bracket_points(roots) -> tuple:
 
 
 def _stationary_roots(eq: SubproblemEQ, b: Boundary, bid: int, l: int,
-                      cap: int, cache: _RootCache) -> tuple:
+                      cap: int, cache: _RootCache):
     """Roots of d/dx [ (num/den)(D_D - a1 x) - a x ] cleared by den^2,
-    as bracket points; ``bid`` is the boundary's id in ``cache``, which
-    serves one target, so the objective's constants are fixed."""
+    None when that vanishes; ``bid`` is the boundary's id in ``cache``,
+    which serves one target, so the objective's constants are fixed."""
     key = (bid, l)
     if key in cache.stationary:
         cache.hits += 1
@@ -484,8 +522,8 @@ def _stationary_roots(eq: SubproblemEQ, b: Boundary, bid: int, l: int,
                           poly_mul(num, den, cap=cap), cap=cap))
     g = poly_sub(g, poly_mul(Polynomial.from_coeffs((eq.cost_a,)),
                              poly_mul(den, den, cap=cap), cap=cap))
-    points = cache.stationary[key] = _bracket_points(cache.roots(g, l))
-    return points
+    roots = cache.stationary[key] = cache.roots(g, l)
+    return roots
 
 
 def _fixed_p_condition(b: Boundary, bid: int, p_hat: float, l: int,
@@ -533,37 +571,279 @@ def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int,
     return lefts
 
 
+def _near(roots, lo: float, hi: float) -> list:
+    """The roots whose brackets meet [lo, hi]."""
+    return [r for r in roots or ()
+            if r.value + r.radius >= lo and r.value - r.radius <= hi]
+
+
+def _crossing_points(roots, a, c) -> list:
+    """Raw candidates at the bracket points of crossings of curves a, c."""
+    first, second = sorted((a, c), key=attrgetter("k"))
+    provenance = f"intersection({first.b.origin},{second.b.origin})"
+    return [(x, None, provenance) for x in _bracket_points(roots)]
+
+
+# The box rows p <= 1 and p >= 0, swept with the band's boundaries.
+_BOX_ROWS = (
+    Boundary(num=Polynomial.from_coeffs((1.0,)),
+             den=Polynomial.from_coeffs((1.0,)), origin="box:p<=1"),
+    Boundary(num=Polynomial.from_coeffs((0.0,)),
+             den=Polynomial.from_coeffs((1.0,)), origin="box:p>=0",
+             is_upper=False),
+)
+
+
+class _Curve:
+    """A boundary in the sweep: ``k`` is its place in the band (the box
+    rows come last), ``sign`` the sign of its denominator just right of 0
+    and ``flips`` the values in (0, 1) where that sign changes."""
+
+    __slots__ = ("k", "b", "bid", "sign", "flips")
+
+    def __init__(self, k: int, b: Boundary, bid: int, sign: int, flips):
+        self.k, self.b, self.bid, self.sign = k, b, bid, sign
+        self.flips = tuple(r.value for r in flips)
+
+    def den_sign(self, x: float) -> int:
+        """Sign of the denominator just right of x."""
+        return -self.sign if bisect_right(self.flips, x) & 1 else self.sign
+
+    def caps(self, x: float) -> bool:
+        """Whether the boundary bounds p from above just right of x."""
+        return self.b.is_upper == (self.den_sign(x) > 0)
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """``rep`` is extreme on its envelope from root ``lo`` to root ``hi``
+    (None at 0 and 1); ``members`` are the boundaries of the curves equal
+    to it there, box rows left out."""
+
+    rep: _Curve
+    members: tuple
+    lo: object
+    hi: object
+
+    @property
+    def start(self) -> float:
+        return 0.0 if self.lo is None else self.lo.value
+
+    @property
+    def reach(self) -> tuple:
+        """The piece's x-range, widened by its end brackets."""
+        return (0.0 if self.lo is None else self.lo.value - self.lo.radius,
+                1.0 if self.hi is None else self.hi.value + self.hi.radius)
+
+
+class _Envelopes:
+    """A band's lower envelope of upper bounds on p (with p <= 1) and
+    upper envelope of lower bounds (with p >= 0), traced by a kinetic
+    sweep in x over [0, 1] (Sharir & Agarwal, *Davenport-Schinzel
+    Sequences and Their Geometric Applications*, 1995).
+
+    Which side a boundary bounds and how two boundaries compare change
+    only at sign-changing roots of a denominator or of a crossing
+    ``n1 d2 - n2 d1``.  Counting those roots below x gives the exact order
+    just right of x, starting from the exact signs at 0+.  The sweep
+    isolates only the crossings of each extreme boundary with the others.
+    Events are ordered by root value, so roots closer than ``2**-l`` may be
+    taken in the wrong order.
+    """
+
+    def __init__(self, eq: SubproblemEQ, l: int, cache: _RootCache):
+        self.eq, self.l, self.cache = eq, l, cache
+        self.cap = 2 * max(4, len(eq.order) + 1) + 4
+        self.n = len(eq.boundaries)
+        self.memo = {}
+        self.ids, self.near_pole, self.curves = [], [], []
+        poles = {}
+        for k, b in enumerate(eq.boundaries + _BOX_ROWS):
+            bid = cache.boundary_id(b)
+            sign, flips, near_pole = cache.profile(b, bid, l)
+            if k < self.n:
+                self.ids.append(bid)
+                if near_pole:
+                    self.near_pole.append(b)
+            if sign:
+                self.curves.append(_Curve(k, b, bid, sign, flips))
+                poles.update((r.value, r) for r in flips)
+        self.pole_values = sorted(poles)
+        self.poles = [poles[v] for v in self.pole_values]
+        self.upper, self.upper_ends = self._trace(True)
+        self.lower, self.lower_ends = self._trace(False)
+        self.upper_starts = [p.start for p in self.upper]
+        self.lower_starts = [p.start for p in self.lower]
+        cache.pieces += len(self.upper) + len(self.lower)
+
+    def _cross(self, a: _Curve, c: _Curve):
+        """(values, roots) of the sign changes of ``n_a d_c - n_c d_a``,
+        its sign just right of 0, and all its roots."""
+        got = self.memo.get((a.k, c.k))
+        if got is None:
+            self.cache.crossings_requested += 1
+            roots, sign = self.cache.crossing(a.b, a.bid, c.b, c.bid, self.l,
+                                              self.cap)
+            flips = tuple(r for r in roots or () if r.sign_change)
+            values = tuple(r.value for r in flips)
+            got = self.memo[a.k, c.k] = (values, flips, sign, roots)
+            self.memo[c.k, a.k] = (values, flips, -sign, roots)
+        return got
+
+    def _order(self, a: _Curve, c: _Curve, x: float) -> int:
+        """Exact sign of ``c``'s value minus ``a``'s just right of x."""
+        values, _, sign, _ = self._cross(a, c)
+        if bisect_right(values, x) & 1:
+            sign = -sign
+        # c - a = -(n_a d_c - n_c d_a) / (d_a d_c)
+        return -sign * a.den_sign(x) * c.den_sign(x)
+
+    def _settle(self, x: float, m: _Curve, side: list, want: int) -> _Curve:
+        """The extreme curve just right of x, reached from ``m`` by
+        exchanges; ``want`` is the sign of a better curve minus ``m``."""
+        seen = {m.k}
+        moved = True
+        while moved:
+            moved = False
+            for c in side:
+                if c.k not in seen and self._order(m, c, x) == want:
+                    m = c
+                    seen.add(c.k)
+                    moved = True
+        return m
+
+    def _next_event(self, x: float, m: _Curve, tied: set, side: list,
+                    want: int):
+        """The least root above x where ``m`` may stop being extreme: a
+        sign change of its crossing with a curve on the far side of it, or
+        a pole where some curve switches sides; and that curve, None at a
+        pole."""
+        i = bisect_right(self.pole_values, x)
+        hi = self.poles[i] if i < len(self.poles) else None
+        partner = None
+        for c in side:
+            if c.k in tied:
+                continue
+            values, flips, _, _ = self._cross(m, c)
+            j = bisect_right(values, x)
+            if (j < len(values) and (hi is None or values[j] < hi.value)
+                    and self._order(m, c, x) == -want):
+                hi, partner = flips[j], c
+        return hi, partner
+
+    def _trace(self, upper: bool):
+        """Pieces of one envelope, and the events that end them as
+        (root, curve before, partner or None at a pole)."""
+        want = -1 if upper else 1
+        x = 0.0
+        side = [c for c in self.curves if c.caps(x) == upper]
+        m = self._settle(x, side[-1], side, want)
+        pieces, ends = [], []
+        lo = event = rep = None
+        members = ()
+        while True:
+            group = [c for c in side if c is m or self._cross(m, c)[2] == 0]
+            best = min(group, key=attrgetter("k"))
+            if best is not rep:
+                if rep is not None:
+                    pieces.append(_Piece(rep, members, lo, event[0]))
+                    ends.append(event)
+                    lo, members = event[0], ()
+                rep = best
+            members += tuple(c.b for c in group
+                             if c.k < self.n and c.b not in members)
+            hi, partner = self._next_event(x, m, {c.k for c in group}, side,
+                                           want)
+            if hi is None:
+                pieces.append(_Piece(rep, members, lo, None))
+                return pieces, ends
+            event = (hi, m, partner)
+            x = hi.value
+            side = [c for c in self.curves if c.caps(x) == upper]
+            # the box row closes every side
+            m = next(c for c in (partner, m, side[-1]) if c in side)
+            m = self._settle(x, m, side, want)
+
+    def bounds_at(self, x: float):
+        """(upper, lower, feasible) at x, as ``_bounds_at`` gives it over
+        every boundary, from the pieces whose reach holds x and the
+        boundaries that may pass near a pole."""
+        boundaries = list(self.near_pole)
+        for pieces, starts in ((self.upper, self.upper_starts),
+                               (self.lower, self.lower_starts)):
+            i = bisect_right(starts, x) - 1
+            boundaries += pieces[i].members
+            j = i - 1
+            while j >= 0 and pieces[j].reach[1] >= x:
+                boundaries += pieces[j].members
+                j -= 1
+            j = i + 1
+            while j < len(pieces) and pieces[j].reach[0] <= x:
+                boundaries += pieces[j].members
+                j += 1
+        return _bounds_at(boundaries, x)
+
+    def candidates(self) -> list:
+        """Raw (x, None, provenance) candidates along the upper envelope:
+        stationary points of each piece within its reach, piece ends,
+        poles that end a piece, and the meets of the two envelopes.  Ends
+        and meets at the box rows count too: where the feasible set at
+        p = 0 or p = 1 is a single point, the fixed-coverage solves miss
+        it."""
+        raw = []
+        for piece in self.upper:
+            rep = piece.rep
+            roots = _stationary_roots(self.eq, rep.b, rep.bid, self.l,
+                                      self.cap, self.cache)
+            provenance = f"single-boundary({rep.b.origin})"
+            raw += [(x, None, provenance) for x in
+                    _bracket_points(_near(roots, *piece.reach))]
+        poles = {}
+        for root, before, partner in self.upper_ends:
+            if partner is None:
+                poles[root.value] = root
+            else:
+                raw += _crossing_points((root,), before, partner)
+        for root, _, partner in self.lower_ends:
+            if partner is None:
+                poles[root.value] = root
+        for value in sorted(poles):
+            raw += [(x, None, "pole") for x in _bracket_points((poles[value],))]
+        for u in self.upper:
+            for w in self.lower:
+                lo = max(u.reach[0], w.reach[0])
+                hi = min(u.reach[1], w.reach[1])
+                if lo <= hi:
+                    roots = self._cross(u.rep, w.rep)[3]
+                    raw += _crossing_points(_near(roots, lo, hi), u.rep,
+                                            w.rep)
+        return raw
+
+
 def apx_candidates(eq: SubproblemEQ, l: int = 20,
                    game_const: float = 0.0,
                    cache: _RootCache | None = None) -> list:
     """Feasible band candidates, best objective first.
 
-    Candidates: the four domain corners, minimum-x solves at fixed
-    coverage 0 and 1, stationary points of the objective along every
-    boundary, and all pairwise boundary intersections.  ``cache`` serves
-    one attacked target and shares its root requests between its bands.
+    A kinetic sweep traces the band's two envelopes (see
+    :class:`_Envelopes`).  Candidates: the four domain corners,
+    minimum-x solves at fixed coverage 0 and 1, and along the upper
+    envelope the stationary points of each piece, the piece ends and the
+    meets with the lower envelope, each root at its bracket midpoint and
+    both ends.  Each candidate's coverage comes from the pieces at its x.
+    ``cache`` serves one attacked target and shares its root requests
+    between its bands.
     """
     if cache is None:
         cache = _RootCache()
-    cap = 2 * max(4, len(eq.order) + 1) + 4
-    bounds = eq.boundaries
-    ids = [cache.boundary_id(b) for b in bounds]
+    env = _Envelopes(eq, l, cache)
     raw = [(0.0, None, "corner:x=0"), (1.0, None, "corner:x=1")]
     for p_hat in (0.0, 1.0):
-        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cache, ids):
+        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cache, env.ids):
             raw.append((x_left, p_hat, f"corner:p={p_hat:g}"))
             raw.append((x_left, None, f"corner:p={p_hat:g}+proj"))
-    for b, bid in zip(bounds, ids):
-        provenance = f"single-boundary({b.origin})"
-        for x in _stationary_roots(eq, b, bid, l, cap, cache):
-            raw.append((x, None, provenance))
-    for i, (b1, id1) in enumerate(zip(bounds, ids)):
-        for b2, id2 in zip(bounds[i + 1:], ids[i + 1:]):
-            points = cache.crossing_points(b1, id1, b2, id2, l, cap)
-            if points:
-                provenance = f"intersection({b1.origin},{b2.origin})"
-                raw.extend((x, None, provenance) for x in points)
-    candidates = make_feasible(raw, eq, game_const)
+    raw += env.candidates()
+    candidates = make_feasible(raw, eq, game_const, env.bounds_at)
     feasible = [c for c in candidates if c.feasible]
     feasible.sort(key=lambda c: (-c.objective, c.x))
     return feasible
@@ -617,7 +897,7 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     best_sol = None
     band_winners = []
     discarded = 0
-    isolated = hits = 0
+    isolated = hits = pieces = requested = 0
     for star in range(game.n_targets):
         const = game.utilities[star][1]
         cache = _RootCache()  # the bands of one target share their algebra
@@ -656,6 +936,8 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
                 best_sol = sol
         isolated += cache.isolated
         hits += cache.hits
+        pieces += cache.pieces
+        requested += cache.crossings_requested
     if best_sol is None:
         raise AllProgramsInfeasible("every band of every target is infeasible")
     best_sol.details["band_winners"] = band_winners
@@ -664,4 +946,6 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     best_sol.details["discarded_candidates"] = discarded
     best_sol.details["roots_isolated"] = isolated
     best_sol.details["root_cache_hits"] = hits
+    best_sol.details["envelope_pieces"] = pieces
+    best_sol.details["crossings_requested"] = requested
     return best_sol

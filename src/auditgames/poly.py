@@ -160,6 +160,15 @@ def primitive_part(p: Polynomial) -> tuple:
     return tuple(c // div for c in ints)
 
 
+def sign_after_zero(p: Polynomial) -> int:
+    """Exact sign of ``p`` on (0, eps) for small eps: the sign of its
+    lowest nonzero coefficient, 0 for the zero polynomial."""
+    for c in p.ints:
+        if c:
+            return 1 if c > 0 else -1
+    return 0
+
+
 def derivative(p: Polynomial) -> Polynomial:
     return _canonical([i * c for i, c in enumerate(p.ints)][1:] or [0],
                       p.shift)
@@ -319,8 +328,8 @@ def isolate_roots(p: Polynomial, interval, l: int) -> list:
     a = list(p.ints)
     while a[0] == 0:
         a.pop(0)
-    if len(a) == 1:
-        return []
+    if not _variations(a):
+        return []  # Descartes: no sign change, no positive root
     brackets = _bisect(a, l, False)
     if brackets is None:
         brackets = _bisect(_square_free(a), l, True)

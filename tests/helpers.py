@@ -119,3 +119,34 @@ def dense_restriction_game(n, k, seed=0):
                     if not ((i % (2 ** k - 1)) + 1) >> j & 1]
     return validate_game(n, k, base.utilities, restrictions,
                          cost_a=base.cost_a)
+
+
+def all_pairs_candidates(eq, l=20, game_const=0.0, cache=None):
+    """The band candidates fptas took before its envelope sweep: the four
+    corners, the fixed-coverage solves, the stationary points of every
+    boundary and the crossings of every boundary pair, each projected
+    onto the envelope of every boundary; feasible ones, best first."""
+    from auditgames import fptas
+    if cache is None:
+        cache = fptas._RootCache()
+    cap = 2 * max(4, len(eq.order) + 1) + 4
+    bounds = eq.boundaries
+    ids = [cache.boundary_id(b) for b in bounds]
+    raw = [(0.0, None, "corner:x=0"), (1.0, None, "corner:x=1")]
+    for p_hat in (0.0, 1.0):
+        for x_left in fptas._min_x_for_fixed_p(eq, p_hat, l, cache, ids):
+            raw.append((x_left, p_hat, f"corner:p={p_hat:g}"))
+            raw.append((x_left, None, f"corner:p={p_hat:g}+proj"))
+    for b, bid in zip(bounds, ids):
+        roots = fptas._stationary_roots(eq, b, bid, l, cap, cache)
+        raw.extend((x, None, f"single-boundary({b.origin})")
+                   for x in fptas._bracket_points(roots))
+    for i, (b1, id1) in enumerate(zip(bounds, ids)):
+        for b2, id2 in zip(bounds[i + 1:], ids[i + 1:]):
+            roots, _ = cache.crossing(b1, id1, b2, id2, l, cap)
+            raw.extend((x, None, f"intersection({b1.origin},{b2.origin})")
+                       for x in fptas._bracket_points(roots))
+    feasible = [c for c in fptas.make_feasible(raw, eq, game_const)
+                if c.feasible]
+    feasible.sort(key=lambda c: (-c.objective, c.x))
+    return feasible

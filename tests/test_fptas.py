@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,21 @@ from auditgames.fptas import (
     sort_deltas,
 )
 from auditgames.model import compute_deltas, game_from_dict, validate_game
-from auditgames.poly import isolate_roots, poly_mul, poly_sub
+from auditgames.poly import (
+    Polynomial,
+    isolate_roots,
+    poly_mul,
+    poly_sub,
+    sign_after_zero,
+)
 
-from helpers import dense_restriction_game, rand_game, single_resource_grid_oracle
+from helpers import (
+    all_pairs_candidates,
+    dense_restriction_game,
+    grouped_game,
+    rand_game,
+    single_resource_grid_oracle,
+)
 
 COUNTEREXAMPLE_ROWS = [
     (0.614, 0.598, 0.202, 0.287), (0.719, 0.036, 0.869, 0.999),
@@ -408,7 +421,141 @@ def test_shared_denominator_crossing_matches_cross_product():
     assert len(pairs) >= 10
     for b1, b2 in pairs:
         cross = poly_sub(poly_mul(b1.num, b2.den), poly_mul(b2.num, b1.den))
-        want = fptas._bracket_points(
-            None if cross.is_zero else isolate_roots(cross, (0.0, 1.0), 20))
-        assert cache.crossing_points(b1, cache.boundary_id(b1), b2,
-                                     cache.boundary_id(b2), 20, 30) == want
+        want = None if cross.is_zero else tuple(
+            isolate_roots(cross, (0.0, 1.0), 20))
+        assert cache.crossing(b1, cache.boundary_id(b1), b2,
+                              cache.boundary_id(b2), 20, 30) == (
+            want, sign_after_zero(cross))
+
+
+def _recovered(game, star, eq, candidates):
+    """(objective, x, p_star) of the first candidate that recovers."""
+    for cand in candidates:
+        try:
+            sol = recover_full_solution(game, star, eq, cand.p_n, cand.x)
+        except (VerificationFailed, DegenerateDenominator):
+            continue
+        return sol.objective, sol.x, cand.p_n
+    return None
+
+
+def _bands(g):
+    """Every band of every target, built through one cache per target."""
+    cset = cx.coverage_set(g, SolveConfig().enumeration_cap)
+    for star in range(g.n_targets):
+        cache = fptas._RootCache()
+        for j in range(len(sort_deltas(g, star)) + 1):
+            yield star, build_subproblem(g, star, j, cset, cache), cache
+
+
+def _assert_envelope_matches(eq, env, points=1001):
+    for x in np.linspace(0.0, 1.0, points):
+        want = fptas._bounds_at(eq.boundaries, x)
+        got = env.bounds_at(x)
+        assert got[2] == want[2], (eq.star, eq.j, x)
+        if want[2]:
+            assert abs(got[0] - want[0]) <= 1e-9, (eq.star, eq.j, x)
+            assert abs(got[1] - want[1]) <= 1e-9, (eq.star, eq.j, x)
+
+
+def test_sweep_matches_the_all_pairs_oracle():
+    games = list(_cache_games()) + [grouped_game(20, 10, 5, seed)
+                                    for seed in range(3)]
+    for gi, g in enumerate(games):
+        for star, eq, cache in _bands(g):
+            const = g.utilities[star][1]
+            assert _recovered(g, star, eq, apx_candidates(
+                eq, 20, const, cache)) == _recovered(
+                g, star, eq, all_pairs_candidates(eq, 20, const, cache))
+            # every band of the small games, a few of the others
+            if gi < 4 or (star == 0 and eq.j % 5 == 0):
+                _assert_envelope_matches(eq, fptas._Envelopes(eq, 20, cache))
+
+
+def _flat_band(*boundaries):
+    g = rand_game(3, 1, seed=13)
+    eq = build_subproblem(g, 0, 0, cx.constraint_find(g))
+    return replace(eq, boundaries=boundaries)
+
+
+def _poly(*coeffs):
+    return Polynomial.from_coeffs(coeffs)
+
+
+def test_tangency_does_not_switch_the_piece():
+    flat = fptas.Boundary(num=_poly(0.5), den=_poly(1.0), origin="flat")
+    # 1/2 + (x - 3/8)^2 touches the flat row at x = 3/8 from above
+    bowl = fptas.Boundary(num=_poly(0.640625, -0.75, 1.0), den=_poly(1.0),
+                          origin="bowl")
+    eq = _flat_band(bowl, flat)
+    cache = fptas._RootCache()
+    roots, _ = cache.crossing(flat, cache.boundary_id(flat), bowl,
+                              cache.boundary_id(bowl), 20, 30)
+    assert [r.sign_change for r in roots] == [False]
+    env = fptas._Envelopes(eq, 20, cache)
+    assert [p.rep.b.origin for p in env.upper] == ["flat"]
+    _assert_envelope_matches(eq, env)
+    # a crossing, by contrast, does switch
+    tilt = fptas.Boundary(num=_poly(0.25, 0.5), den=_poly(1.0), origin="tilt")
+    env = fptas._Envelopes(_flat_band(flat, tilt), 20, fptas._RootCache())
+    assert [p.rep.b.origin for p in env.upper] == ["tilt", "flat"]
+    assert env.upper[0].hi.value == 0.5
+
+
+def test_denominator_root_switches_sides():
+    # target 0 is lenient: x + D_0 = x - 0.25 changes sign at x = 1/4
+    g = validate_game(3, 1, [(0.7, 0.2, 0.6, 0.35), (0.6, 0.3, 0.1, 0.5),
+                             (0.8, 0.1, 0.2, 0.9)], cost_a=0.01, lenient=True)
+    assert compute_deltas(g).delta[0] == -0.25
+    poles = 0
+    for star, eq, cache in _bands(g):
+        env = fptas._Envelopes(eq, 20, cache)
+        if star == 0:
+            ends = env.upper_ends + env.lower_ends
+            poles += sum(partner is None and root.value == 0.25
+                         for root, _, partner in ends)
+        _assert_envelope_matches(eq, env)
+        const = g.utilities[star][1]
+        assert _recovered(g, star, eq, apx_candidates(
+            eq, 20, const, cache)) == _recovered(
+            g, star, eq, all_pairs_candidates(eq, 20, const, cache))
+    assert poles > 0
+
+
+def test_identical_curves_tie_deterministically():
+    low = fptas.Boundary(num=_poly(0.25, 0.5), den=_poly(1.0), origin="a")
+    twin = fptas.Boundary(num=_poly(0.25, 0.5), den=_poly(1.0), origin="b")
+    # the same curve over a scaled numerator and denominator
+    scaled = fptas.Boundary(num=_poly(0.5, 1.0), den=_poly(2.0), origin="c")
+    high = fptas.Boundary(num=_poly(0.9), den=_poly(1.0), origin="d")
+    for order in ((low, twin, scaled, high), (high, scaled, twin, low)):
+        eq = _flat_band(*order)
+        runs = [fptas._Envelopes(eq, 20, fptas._RootCache())
+                for _ in range(2)]
+        for env in runs:
+            assert len(env.upper) == 1
+            piece = env.upper[0]
+            # the first of the tied boundaries in band order stands for them
+            assert piece.rep.b is next(b for b in order if b is not high)
+            assert set(piece.members) == {low, twin, scaled}
+            _assert_envelope_matches(eq, env)
+        assert [(p.rep.k, p.members, p.lo, p.hi) for p in runs[0].upper] == [
+            (p.rep.k, p.members, p.lo, p.hi) for p in runs[1].upper]
+
+
+def test_sweep_requests_fewer_crossings_than_all_pairs(monkeypatch):
+    g = grouped_game(20, 10, 5)
+    sizes = []
+    original_build = fptas.build_subproblem
+
+    def build(*args):
+        eq = original_build(*args)
+        sizes.append(len(eq.boundaries))
+        return eq
+
+    monkeypatch.setattr(fptas, "build_subproblem", build)
+    sol = solve_fptas(g, SolveConfig(root_bits=20))
+    all_pairs = sum(n * (n - 1) // 2 for n in sizes)
+    assert 0 < sol.details["crossings_requested"] < all_pairs
+    # every band has at least one piece on each envelope
+    assert sol.details["envelope_pieces"] >= 2 * len(sizes)
