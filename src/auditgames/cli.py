@@ -19,6 +19,7 @@ from .fpt import (
     compare_formulations,
     full_objective,
     solve_fpt,
+    x_grid,
 )
 from .fptas import solve_fptas
 from .model import (
@@ -154,12 +155,12 @@ def counterexample_curve(step: float = 0.005, star: int = COUNTEREXAMPLE_STAR):
     maxima of the curve.
     Returns (curve points, peaks, game).
     """
-    if step > 0.005 + 1e-15:
-        raise UsageError("step must be at most 0.005")
+    if not 0.0 < step <= 0.005 + 1e-15:
+        raise UsageError(f"step must be in (0, 0.005], got {step!r}")
     game = counterexample_game()
     pairs = _ClosedFormPairs(_ProgramCache(game, cx.coverage_set(game)),
                              "transformed")
-    xs = [min(1.0, i * step) for i in range(int(round(1.0 / step)) + 1)]
+    xs = x_grid(step)
     solve = pairs.for_star(star, xs)
     points = []
     for i, x in enumerate(xs):

@@ -9,10 +9,10 @@ inside one band the problem reduces to two variables with constraint
 boundaries ``p <= f_b(x)`` for rational ``f_b``.  A kinetic sweep in x
 traces each band's lower envelope of upper bounds and upper envelope of
 lower bounds; the candidates are the domain corners, the left ends of the
-feasible x-intervals at coverage 0 and 1, and along the upper envelope
-the stationary points of the objective on each piece, the piece ends and
-the meets with the lower envelope, with roots isolated to an additive
-``2**-l``.
+feasible x-intervals at coverage 0 and 1, read off where the box rows
+hold the envelopes, and along the upper envelope the stationary points of
+the objective on each piece, the piece ends and the meets with the lower
+envelope, with roots isolated to an additive ``2**-l``.
 
 All boundary algebra is kept in cleared polynomial form
 ``p * den(x) <= num(x)`` so that vanishing or sign-changing denominators
@@ -68,8 +68,7 @@ class Boundary:
     num: Polynomial
     den: Polynomial
     origin: str
-    is_upper: bool = True       # upper bound on p when den > 0
-    open_strict: bool = False   # points exactly on it are infeasible
+    is_upper: bool = True  # upper bound on p when den > 0
     eval_fn: object = None
 
     def values(self, x: float):
@@ -90,8 +89,6 @@ class SubproblemEQ:
     active: tuple      # order[j:], substituted through tight constraints
     zeroed: tuple      # order[:j], coverage pinned to zero
     boundaries: tuple  # of Boundary (upper bounds plus the band lower bound)
-    open_lower: Boundary | None   # closed version of the strict band curve
-    band_lower: Boundary | None   # closed lower bound from the next hyperbola
     star_pinned: bool
     delta_star: float
     delta_d_star: float
@@ -107,7 +104,6 @@ class CandidatePoint:
     objective: float
     provenance: str
     feasible: bool
-    on_open_boundary: bool = False
 
 
 def sort_deltas(game: AuditGame, star: int) -> tuple:
@@ -181,7 +177,7 @@ class _TargetAlgebra:
             num = Polynomial.from_coeffs((-off,))
             if lower_side:
                 b = Boundary(num=num, den=self.a_star,
-                             origin="band-lower-closed", open_strict=True)
+                             origin="band-lower-closed")
             else:
                 b = Boundary(num=num, den=self.a_star, origin="band-upper",
                              is_upper=False)
@@ -271,13 +267,10 @@ def build_subproblem(game: AuditGame, star: int, j: int,
     if not 0 <= j <= len(order):
         raise ValueError(f"band index {j} out of range")
     boundaries = [algebra.row(i) for i in order[j:]]
-    open_lower = band_lower = None
     if j >= 1:
-        open_lower = algebra.curve(j - 1, True)
-        boundaries.append(open_lower)
+        boundaries.append(algebra.curve(j - 1, True))
     if j <= len(order) - 1:
-        band_lower = algebra.curve(j, False)
-        boundaries.append(band_lower)
+        boundaries.append(algebra.curve(j, False))
     for cid, (has_star, placed) in enumerate(algebra.placed):
         members = tuple(t for t, k in placed if k >= j)
         if not members and not has_star:
@@ -289,7 +282,6 @@ def build_subproblem(game: AuditGame, star: int, j: int,
     return SubproblemEQ(
         star=star, j=j, order=order, active=tuple(order[j:]),
         zeroed=tuple(order[:j]), boundaries=tuple(boundaries),
-        open_lower=open_lower, band_lower=band_lower,
         star_pinned=bool(game.unauditable[star]),
         delta_star=float(d.delta[star]),
         delta_d_star=float(d.delta_d[star]),
@@ -303,25 +295,14 @@ def _objective(eq: SubproblemEQ, game_const: float, p: float, x: float) -> float
     return game_const + p * (eq.delta_d_star - eq.cost_a1 * x) - eq.cost_a * x
 
 
-def _band_value(eq: SubproblemEQ, p: float, x: float) -> float:
-    return p * (x + eq.delta_star)
-
-
-def _band_membership(eq: SubproblemEQ, p: float, x: float):
-    """(in_band, on_open_curve) with the strict side tested at 1e-9."""
-    v = _band_value(eq, p, x)
-    on_open = False
-    if eq.j >= 1:
-        lo_off = eq.offsets[eq.order[eq.j - 1]]
-        if abs(v + lo_off) <= ON_CURVE_TOL:
-            on_open = True
-        elif v + lo_off > 0:
-            return False, False
-    if eq.j <= len(eq.order) - 1:
-        hi_off = eq.offsets[eq.order[eq.j]]
-        if v + hi_off < -FEAS_TOL:
-            return False, on_open
-    return True, on_open
+def _in_band(eq: SubproblemEQ, p: float, x: float) -> bool:
+    """Whether (p, x) is in the band and off its strict lower curve, the
+    strict side tested at 1e-9."""
+    v = p * (x + eq.delta_star)
+    if eq.j >= 1 and v + eq.offsets[eq.order[eq.j - 1]] >= -ON_CURVE_TOL:
+        return False
+    return not (eq.j <= len(eq.order) - 1
+                and v + eq.offsets[eq.order[eq.j]] < -FEAS_TOL)
 
 
 def _bounds_at(boundaries, x: float):
@@ -343,20 +324,16 @@ def _bounds_at(boundaries, x: float):
     return upper, lower, True
 
 
-def make_feasible(candidates, eq: SubproblemEQ, game_const: float = 0.0,
-                  envelope=None):
+def make_feasible(candidates, eq: SubproblemEQ, game_const: float,
+                  envelope):
     """Project raw candidates onto the feasible region of the band.
 
     Each candidate is (x, forced_p or None, provenance).  The coverage is
     set to the upper envelope ``min(1, min_b f_b(x))`` unless forced;
     candidates whose projected coverage is negative, below the lower
     envelope, or on the strict band curve are marked infeasible.
-    ``envelope(x)`` gives (upper, lower, feasible) at x; by default every
-    boundary of the band is evaluated.
+    ``envelope(x)`` gives (upper, lower, feasible) at x.
     """
-    if envelope is None:
-        def envelope(x):
-            return _bounds_at(eq.boundaries, x)
     out = []
     for x_raw, forced_p, provenance in candidates:
         x = min(1.0, max(0.0, float(x_raw)))
@@ -371,16 +348,11 @@ def make_feasible(candidates, eq: SubproblemEQ, game_const: float = 0.0,
         p = min(p, 1.0)
         feasible = ok and p >= -FEAS_TOL and p >= lower - FEAS_TOL
         p = min(1.0, max(0.0, p))
-        on_open = False
-        if feasible:
-            in_band, on_open = _band_membership(eq, p, x)
-            feasible = in_band and not on_open
         out.append(CandidatePoint(
             p_n=p, x=x,
             objective=_objective(eq, game_const, p, x),
             provenance=provenance,
-            feasible=feasible,
-            on_open_boundary=on_open,
+            feasible=feasible and _in_band(eq, p, x),
         ))
     return out
 
@@ -392,8 +364,8 @@ class _RootCache:
     so the bands share boundary objects.  Each distinct ``(num, den)``
     gets a small id, and root requests are answered at three levels:
 
-    - per boundary id: its stationary points, its condition at a fixed
-      coverage, and its denominator's sign changes;
+    - per boundary id: its stationary points and its denominator's sign
+      changes;
     - per pair of ids: the pair's crossings, where ``n1 d2 - n2 d1``
       vanishes.  Its terms are kept per (boundary, denominator), since
       one row meets every coverage row over the same ``x + D_star``;
@@ -410,7 +382,6 @@ class _RootCache:
         self.found = {}
         self.ids = {}
         self.stationary = {}
-        self.fixed_p = {}
         self.crossings = {}
         self.terms = {}
         self.profiles = {}
@@ -526,62 +497,18 @@ def _stationary_roots(eq: SubproblemEQ, b: Boundary, bid: int, l: int,
     return roots
 
 
-def _fixed_p_condition(b: Boundary, bid: int, p_hat: float, l: int,
-                       cache: _RootCache):
-    """``b`` at coverage ``p_hat`` as a polynomial required >= 0, with
-    its roots; ``bid`` is the boundary's id in ``cache``."""
-    key = (bid, b.is_upper, p_hat, l)
-    if key in cache.fixed_p:
-        cache.hits += 1
-        return cache.fixed_p[key]
-    p_den = poly_mul(Polynomial.from_coeffs((p_hat,)), b.den)
-    if b.is_upper:
-        g = poly_sub(b.num, p_den)
-    else:
-        g = poly_sub(p_den, b.num)
-    found = cache.fixed_p[key] = (g, cache.roots(g, l))
-    return found
-
-
-def _min_x_for_fixed_p(eq: SubproblemEQ, p_hat: float, l: int,
-                       cache: _RootCache, ids: list):
-    """Left endpoints of the feasible x-intervals at coverage ``p_hat``.
-
-    Every boundary and both band conditions become univariate polynomial
-    sign constraints; their roots partition [0, 1] and midpoint sampling
-    marks the feasible cells.  A left end that is a root also yields its
-    bracket's right end (at most the cell midpoint), which lies on the
-    feasible side of the root when the midpoint does not.
-    """
-    conditions = []  # polynomials required >= 0
-    radius = {0.0: 0.0, 1.0: 0.0}  # cut -> bracket radius
-    for b, bid in zip(eq.boundaries, ids):
-        g, roots = _fixed_p_condition(b, bid, p_hat, l, cache)
-        conditions.append(g)
-        for r in roots or ():
-            radius[r.value] = max(radius.get(r.value, 0.0), r.radius)
-    cuts = sorted(radius)
-    lefts = []
-    for a, bnd in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + bnd)
-        if all(g(mid) >= -FEAS_TOL for g in conditions):
-            lefts.append(a)
-            if radius[a] > 0.0:
-                lefts.append(min(a + radius[a], mid))
-    return lefts
-
-
 def _near(roots, lo: float, hi: float) -> list:
     """The roots whose brackets meet [lo, hi]."""
     return [r for r in roots or ()
             if r.value + r.radius >= lo and r.value - r.radius <= hi]
 
 
-def _crossing_points(roots, a, c) -> list:
-    """Raw candidates at the bracket points of crossings of curves a, c."""
+def _crossing_points(roots, a, c, forced=None) -> list:
+    """Raw candidates at the bracket points of crossings of curves a, c,
+    at coverage ``forced`` or on the envelope."""
     first, second = sorted((a, c), key=attrgetter("k"))
     provenance = f"intersection({first.b.origin},{second.b.origin})"
-    return [(x, None, provenance) for x in _bracket_points(roots)]
+    return [(x, forced, provenance) for x in _bracket_points(roots)]
 
 
 # The box rows p <= 1 and p >= 0, swept with the band's boundaries.
@@ -618,12 +545,14 @@ class _Curve:
 class _Piece:
     """``rep`` is extreme on its envelope from root ``lo`` to root ``hi``
     (None at 0 and 1); ``members`` are the boundaries of the curves equal
-    to it there, box rows left out."""
+    to it there, box rows left out, and ``boxed`` says whether the
+    envelope's box row is among those curves."""
 
     rep: _Curve
     members: tuple
     lo: object
     hi: object
+    boxed: bool
 
     @property
     def start(self) -> float:
@@ -656,15 +585,13 @@ class _Envelopes:
         self.cap = 2 * max(4, len(eq.order) + 1) + 4
         self.n = len(eq.boundaries)
         self.memo = {}
-        self.ids, self.near_pole, self.curves = [], [], []
+        self.near_pole, self.curves = [], []
         poles = {}
         for k, b in enumerate(eq.boundaries + _BOX_ROWS):
             bid = cache.boundary_id(b)
             sign, flips, near_pole = cache.profile(b, bid, l)
-            if k < self.n:
-                self.ids.append(bid)
-                if near_pole:
-                    self.near_pole.append(b)
+            if near_pole:  # never a box row, whose denominator is 1
+                self.near_pole.append(b)
             if sign:
                 self.curves.append(_Curve(k, b, bid, sign, flips))
                 poles.update((r.value, r) for r in flips)
@@ -746,16 +673,19 @@ class _Envelopes:
             best = min(group, key=attrgetter("k"))
             if best is not rep:
                 if rep is not None:
-                    pieces.append(_Piece(rep, members, lo, event[0]))
+                    pieces.append(_Piece(rep, members, lo, event[0], boxed))
                     ends.append(event)
                     lo, members = event[0], ()
                 rep = best
+                # the box row holds the piece also when a boundary equal to
+                # it stands for it, as a band curve at offset 0 does p >= 0
+                boxed = any(c.k >= self.n for c in group)
             members += tuple(c.b for c in group
                              if c.k < self.n and c.b not in members)
             hi, partner = self._next_event(x, m, {c.k for c in group}, side,
                                            want)
             if hi is None:
-                pieces.append(_Piece(rep, members, lo, None))
+                pieces.append(_Piece(rep, members, lo, None, boxed))
                 return pieces, ends
             event = (hi, m, partner)
             x = hi.value
@@ -784,13 +714,24 @@ class _Envelopes:
         return _bounds_at(boundaries, x)
 
     def candidates(self) -> list:
-        """Raw (x, None, provenance) candidates along the upper envelope:
+        """Raw (x, forced_p or None, provenance) candidates.
+
+        At coverage 1 and 0: the start of each piece of the upper (lower)
+        envelope that the box row p <= 1 (p >= 0) holds, where a feasible
+        x-interval at that coverage can begin.  Along the upper envelope:
         stationary points of each piece within its reach, piece ends,
-        poles that end a piece, and the meets of the two envelopes.  Ends
-        and meets at the box rows count too: where the feasible set at
-        p = 0 or p = 1 is a single point, the fixed-coverage solves miss
-        it."""
+        poles that end a piece, and the meets of the two envelopes, which
+        are also tried at a box row's coverage where that row holds either
+        side.  Ends and meets at the box rows count too: the feasible set
+        at p = 0 or p = 1 can be a single point.
+        """
         raw = []
+        for pieces, p_hat in ((self.lower, 0.0), (self.upper, 1.0)):
+            for piece in pieces:
+                if piece.boxed:
+                    xs = ((0.0,) if piece.lo is None
+                          else _bracket_points((piece.lo,)))
+                    raw += [(x, p_hat, f"corner:p={p_hat:g}") for x in xs]
         for piece in self.upper:
             rep = piece.rep
             roots = _stationary_roots(self.eq, rep.b, rep.bid, self.l,
@@ -814,9 +755,11 @@ class _Envelopes:
                 lo = max(u.reach[0], w.reach[0])
                 hi = min(u.reach[1], w.reach[1])
                 if lo <= hi:
-                    roots = self._cross(u.rep, w.rep)[3]
-                    raw += _crossing_points(_near(roots, lo, hi), u.rep,
-                                            w.rep)
+                    roots = _near(self._cross(u.rep, w.rep)[3], lo, hi)
+                    raw += _crossing_points(roots, u.rep, w.rep)
+                    if u.boxed or w.boxed:
+                        raw += _crossing_points(roots, u.rep, w.rep,
+                                                1.0 if u.boxed else 0.0)
         return raw
 
 
@@ -826,22 +769,18 @@ def apx_candidates(eq: SubproblemEQ, l: int = 20,
     """Feasible band candidates, best objective first.
 
     A kinetic sweep traces the band's two envelopes (see
-    :class:`_Envelopes`).  Candidates: the four domain corners,
-    minimum-x solves at fixed coverage 0 and 1, and along the upper
-    envelope the stationary points of each piece, the piece ends and the
-    meets with the lower envelope, each root at its bracket midpoint and
-    both ends.  Each candidate's coverage comes from the pieces at its x.
-    ``cache`` serves one attacked target and shares its root requests
-    between its bands.
+    :class:`_Envelopes`).  Candidates: the domain corners x = 0 and 1,
+    the left ends of the feasible x-intervals at coverage 0 and 1 that the
+    envelopes' box rows give, and along the upper envelope the stationary
+    points of each piece, the piece ends and the meets with the lower
+    envelope, each root at its bracket midpoint and both ends.  Each
+    candidate's coverage comes from the pieces at its x.  ``cache`` serves
+    one attacked target and shares its root requests between its bands.
     """
     if cache is None:
         cache = _RootCache()
     env = _Envelopes(eq, l, cache)
     raw = [(0.0, None, "corner:x=0"), (1.0, None, "corner:x=1")]
-    for p_hat in (0.0, 1.0):
-        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cache, env.ids):
-            raw.append((x_left, p_hat, f"corner:p={p_hat:g}"))
-            raw.append((x_left, None, f"corner:p={p_hat:g}+proj"))
     raw += env.candidates()
     candidates = make_feasible(raw, eq, game_const, env.bounds_at)
     feasible = [c for c in candidates if c.feasible]

@@ -3,6 +3,7 @@
 import numpy as np
 
 from auditgames.model import validate_game, compute_deltas
+from auditgames.poly import Polynomial, poly_mul, poly_sub
 
 
 def rand_game(n, k, density=0.0, seed=0, cost_a=0.01, a_vec=False,
@@ -121,6 +122,35 @@ def dense_restriction_game(n, k, seed=0):
                          cost_a=base.cost_a)
 
 
+def _min_x_for_fixed_p(eq, p_hat, l, cache):
+    """Left endpoints of the feasible x-intervals at coverage ``p_hat``.
+
+    Every boundary and both band conditions become univariate polynomial
+    sign constraints; their roots partition [0, 1] and midpoint sampling
+    marks the feasible cells.  A left end that is a root also yields its
+    bracket's right end (at most the cell midpoint), which lies on the
+    feasible side of the root when the midpoint does not.
+    """
+    from auditgames.fptas import FEAS_TOL
+    conditions = []  # polynomials required >= 0
+    radius = {0.0: 0.0, 1.0: 0.0}  # cut -> bracket radius
+    for b in eq.boundaries:
+        p_den = poly_mul(Polynomial.from_coeffs((p_hat,)), b.den)
+        g = poly_sub(b.num, p_den) if b.is_upper else poly_sub(p_den, b.num)
+        conditions.append(g)
+        for r in cache.roots(g, l) or ():
+            radius[r.value] = max(radius.get(r.value, 0.0), r.radius)
+    cuts = sorted(radius)
+    lefts = []
+    for a, bnd in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + bnd)
+        if all(g(mid) >= -FEAS_TOL for g in conditions):
+            lefts.append(a)
+            if radius[a] > 0.0:
+                lefts.append(min(a + radius[a], mid))
+    return lefts
+
+
 def all_pairs_candidates(eq, l=20, game_const=0.0, cache=None):
     """The band candidates fptas took before its envelope sweep: the four
     corners, the fixed-coverage solves, the stationary points of every
@@ -134,7 +164,7 @@ def all_pairs_candidates(eq, l=20, game_const=0.0, cache=None):
     ids = [cache.boundary_id(b) for b in bounds]
     raw = [(0.0, None, "corner:x=0"), (1.0, None, "corner:x=1")]
     for p_hat in (0.0, 1.0):
-        for x_left in fptas._min_x_for_fixed_p(eq, p_hat, l, cache, ids):
+        for x_left in _min_x_for_fixed_p(eq, p_hat, l, cache):
             raw.append((x_left, p_hat, f"corner:p={p_hat:g}"))
             raw.append((x_left, None, f"corner:p={p_hat:g}+proj"))
     for b, bid in zip(bounds, ids):
@@ -146,7 +176,8 @@ def all_pairs_candidates(eq, l=20, game_const=0.0, cache=None):
             roots, _ = cache.crossing(b1, id1, b2, id2, l, cap)
             raw.extend((x, None, f"intersection({b1.origin},{b2.origin})")
                        for x in fptas._bracket_points(roots))
-    feasible = [c for c in fptas.make_feasible(raw, eq, game_const)
-                if c.feasible]
+    candidates = fptas.make_feasible(
+        raw, eq, game_const, lambda x: fptas._bounds_at(eq.boundaries, x))
+    feasible = [c for c in candidates if c.feasible]
     feasible.sort(key=lambda c: (-c.objective, c.x))
     return feasible

@@ -199,6 +199,22 @@ def test_cli_counterexample_csv(tmp_path):
     assert rep["points"] == 201
 
 
+@pytest.mark.parametrize("step", ["0", "-0.01", "0.0051"])
+def test_cli_counterexample_rejects_steps_outside_the_range(step, capsys):
+    assert run(["counterexample", "--step", step]) == 1
+    assert "step must be in (0, 0.005]" in capsys.readouterr().err
+
+
+def test_cli_counterexample_grid_ends_at_one(tmp_path):
+    out = tmp_path / "ce.json"
+    csv = tmp_path / "ce.csv"
+    assert run(["counterexample", "--step", "0.003", "--out", str(out),
+                "--csv", str(csv)]) == 0
+    # 0, 0.003, ..., 0.999 and then 1
+    assert json.loads(out.read_text())["points"] == 335
+    assert csv.read_text().splitlines()[-1].startswith("1.0,")
+
+
 def test_cli_reports_deterministic(tmp_path):
     game_path = tmp_path / "g.json"
     run(["generate", "--targets", "6", "--resources", "3", "--group", "3",

@@ -70,7 +70,7 @@ def test_band_zero_has_no_zeroed_targets():
     eq = build_subproblem(g, 0, 0, cset)
     assert eq.zeroed == ()
     assert len(eq.active) == 3
-    assert eq.open_lower is None
+    assert "band-lower-closed" not in {b.origin for b in eq.boundaries}
 
 
 def test_boundary_count_budget():
@@ -130,10 +130,15 @@ def test_make_feasible_clamps_and_discards():
     g = rand_game(3, 1, seed=13)
     cset = cx.constraint_find(g)
     eq = build_subproblem(g, 0, 0, cset)
-    out = make_feasible([(1.0 + 1e-9, None, "corner:x=1")], eq)
+
+    def envelope(x):
+        return fptas._bounds_at(eq.boundaries, x)
+
+    out = make_feasible([(1.0 + 1e-9, None, "corner:x=1")], eq, 0.0,
+                        envelope)
     assert all(c.x <= 1.0 for c in out)
     # a forced coverage above the envelope is pulled back inside
-    forced = make_feasible([(0.5, 5.0, "corner:p=1")], eq)
+    forced = make_feasible([(0.5, 5.0, "corner:p=1")], eq, 0.0, envelope)
     assert all(c.p_n <= 1.0 for c in forced)
 
 
@@ -400,9 +405,8 @@ def test_memoised_bands_match_fresh_builds():
                 fresh = build_subproblem(g, star, j, cset)
                 assert len(memo.boundaries) == len(fresh.boundaries)
                 for b, f in zip(memo.boundaries, fresh.boundaries):
-                    assert (b.num, b.den, b.origin, b.is_upper,
-                            b.open_strict) == (f.num, f.den, f.origin,
-                                               f.is_upper, f.open_strict)
+                    assert (b.num, b.den, b.origin, b.is_upper) == (
+                        f.num, f.den, f.origin, f.is_upper)
                     for x in (0.0, 0.3, 1.0):
                         assert b.values(x) == f.values(x)
                     # a boundary recurs as one object from band to band
@@ -520,6 +524,36 @@ def test_denominator_root_switches_sides():
             eq, 20, const, cache)) == _recovered(
             g, star, eq, all_pairs_candidates(eq, 20, const, cache))
     assert poles > 0
+
+
+def _tied_games(count=40):
+    """Games on a 1/64 utility grid with a1 > 0, one lenient target and
+    two targets whose unaudited attacker payoffs tie: attacking either of
+    those two puts a band curve at offset 0, on the row p >= 0."""
+    for seed in range(count):
+        n = 3 + seed % 3
+        g = rand_game(n, 1 + seed % 2, density=0.2, seed=900 + seed,
+                      snap_bits=6)
+        rows = [list(u) for u in g.utilities]
+        rows[1][3] = rows[0][3]
+        rows[1][2] = min(rows[1][2], rows[1][3])
+        rows[-1][2], rows[-1][3] = rows[-1][3], rows[-1][2]
+        yield validate_game(n, g.n_resources, rows, g.restrictions,
+                            cost_a=0.01, cost_a1=0.125 * (1 + seed % 4),
+                            lenient=True)
+
+
+def test_sweep_is_no_worse_than_the_oracle_on_tied_lenient_games():
+    for g in _tied_games():
+        for star, eq, cache in _bands(g):
+            const = g.utilities[star][1]
+            oracle = _recovered(g, star, eq,
+                                all_pairs_candidates(eq, 20, const, cache))
+            if oracle is not None:
+                sweep = _recovered(g, star, eq,
+                                   apx_candidates(eq, 20, const, cache))
+                assert sweep is not None and sweep[0] >= oracle[0], (
+                    star, eq.j, sweep, oracle)
 
 
 def test_identical_curves_tie_deterministically():
