@@ -9,10 +9,12 @@ inside one band the problem reduces to two variables with constraint
 boundaries ``p <= f_b(x)`` for rational ``f_b``.  A kinetic sweep in x
 traces each band's lower envelope of upper bounds and upper envelope of
 lower bounds; the candidates are the domain corners, the left ends of the
-feasible x-intervals at coverage 0 and 1, read off where the box rows
-hold the envelopes, and along the upper envelope the stationary points of
-the objective on each piece, the piece ends and the meets with the lower
-envelope, with roots isolated to an additive ``2**-l``.
+feasible x-intervals at coverage 0, read off where the box row p >= 0
+holds the lower envelope, and along the upper envelope the stationary
+points of the objective on each piece, the piece ends and the meets with
+the lower envelope, with roots isolated to an additive ``2**-l``.  The
+solver skips every band whose objective bound lies strictly below the
+best point found so far (branch and bound).
 
 All boundary algebra is kept in cleared polynomial form
 ``p * den(x) <= num(x)`` so that vanishing or sign-changing denominators
@@ -252,7 +254,9 @@ def build_subproblem(game: AuditGame, star: int, j: int,
                      cache: "_RootCache | None" = None) -> SubproblemEQ:
     """Boundaries of band ``j``: coverage caps of the substituted targets,
     pinned-target rows, the closed strict band curve, the band lower bound,
-    and every coverage-set constraint after substitution.
+    and every coverage-set constraint after substitution.  When D_star > 0
+    only the lowest coverage cap and the lowest pinned row are kept, as
+    each lies below the others of its kind on all of [0, 1].
 
     ``cache`` is the attacked target's :class:`_RootCache`; it keeps the
     target's :class:`_TargetAlgebra`, so each boundary is built once per
@@ -266,7 +270,22 @@ def build_subproblem(game: AuditGame, star: int, j: int,
     d, order = algebra.d, algebra.order
     if not 0 <= j <= len(order):
         raise ValueError(f"band index {j} out of range")
-    boundaries = [algebra.row(i) for i in order[j:]]
+    rows = order[j:]
+    if d.delta[star] > 0:
+        # each row reads p (x + D_star) <= x + D_i - off_i (coverage) or
+        # <= -off_i (pinned) over a denominator positive on [0, 1], so the
+        # row of each shape with the least constant (the first in band
+        # order on a tie) lies below the others of its shape
+        lowest = {}
+        for i in rows:
+            pinned = game.unauditable[i]
+            off = d.delta_pair[i, star]
+            level = -off if pinned else d.delta[i] - off
+            if pinned not in lowest or level < lowest[pinned][0]:
+                lowest[pinned] = level, i
+        kept = {i for _, i in lowest.values()}
+        rows = [i for i in rows if i in kept]
+    boundaries = [algebra.row(i) for i in rows]
     if j >= 1:
         boundaries.append(algebra.curve(j - 1, True))
     if j <= len(order) - 1:
@@ -716,22 +735,24 @@ class _Envelopes:
     def candidates(self) -> list:
         """Raw (x, forced_p or None, provenance) candidates.
 
-        At coverage 1 and 0: the start of each piece of the upper (lower)
-        envelope that the box row p <= 1 (p >= 0) holds, where a feasible
-        x-interval at that coverage can begin.  Along the upper envelope:
-        stationary points of each piece within its reach, piece ends,
-        poles that end a piece, and the meets of the two envelopes, which
-        are also tried at a box row's coverage where that row holds either
-        side.  Ends and meets at the box rows count too: the feasible set
-        at p = 0 or p = 1 can be a single point.
+        At coverage 0: the start of each piece of the lower envelope that
+        the box row p >= 0 holds, where a feasible x-interval at that
+        coverage can begin.  Along the upper envelope: stationary points
+        of each piece within its reach, piece ends, poles that end a
+        piece, and the meets of the two envelopes, which are also tried at
+        coverage 0 where p >= 0 holds the lower side and p <= 1 does not
+        hold the upper.  Ends and meets at the box rows count too: the
+        feasible set at p = 0 or p = 1 can be a single point.  Coverage 1
+        needs no forced candidate: an unforced one takes the upper
+        envelope, which is 1 where p <= 1 holds it, and the start of such
+        a piece is the x = 0 corner or the end of the piece before it.
         """
         raw = []
-        for pieces, p_hat in ((self.lower, 0.0), (self.upper, 1.0)):
-            for piece in pieces:
-                if piece.boxed:
-                    xs = ((0.0,) if piece.lo is None
-                          else _bracket_points((piece.lo,)))
-                    raw += [(x, p_hat, f"corner:p={p_hat:g}") for x in xs]
+        for piece in self.lower:
+            if piece.boxed:
+                xs = ((0.0,) if piece.lo is None
+                      else _bracket_points((piece.lo,)))
+                raw += [(x, 0.0, "corner:p=0") for x in xs]
         for piece in self.upper:
             rep = piece.rep
             roots = _stationary_roots(self.eq, rep.b, rep.bid, self.l,
@@ -757,9 +778,8 @@ class _Envelopes:
                 if lo <= hi:
                     roots = _near(self._cross(u.rep, w.rep)[3], lo, hi)
                     raw += _crossing_points(roots, u.rep, w.rep)
-                    if u.boxed or w.boxed:
-                        raw += _crossing_points(roots, u.rep, w.rep,
-                                                1.0 if u.boxed else 0.0)
+                    if w.boxed and not u.boxed:
+                        raw += _crossing_points(roots, u.rep, w.rep, 0.0)
         return raw
 
 
@@ -770,10 +790,10 @@ def apx_candidates(eq: SubproblemEQ, l: int = 20,
 
     A kinetic sweep traces the band's two envelopes (see
     :class:`_Envelopes`).  Candidates: the domain corners x = 0 and 1,
-    the left ends of the feasible x-intervals at coverage 0 and 1 that the
-    envelopes' box rows give, and along the upper envelope the stationary
-    points of each piece, the piece ends and the meets with the lower
-    envelope, each root at its bracket midpoint and both ends.  Each
+    the left ends of the feasible x-intervals at coverage 0 that the
+    lower envelope's box row gives, and along the upper envelope the
+    stationary points of each piece, the piece ends and the meets with the
+    lower envelope, each root at its bracket midpoint and both ends.  Each
     candidate's coverage comes from the pieces at its x.  ``cache`` serves
     one attacked target and shares its root requests between its bands.
     """
@@ -821,6 +841,21 @@ def recover_full_solution(game: AuditGame, star: int, eq: SubproblemEQ,
     )
 
 
+def band_bound(ud_u: float, gain: float, delta_star: float,
+               off=None) -> float:
+    """Upper bound on the objective ``ud_u + p (gain - a1 x) - a x`` over
+    a band of an attacked target with unaudited payoff ``ud_u``, defender
+    gain ``gain`` = D_D and attacker loss ``delta_star`` = D_star.
+    Costs are nonnegative, so the objective is at most
+    ``ud_u + max(0, gain) p``.  ``off`` is the offset of band j's strict
+    lower curve (None for band 0); with D_star > 0, :func:`_in_band`
+    keeps ``p (x + D_star) < -off``, so p < -off / D_star."""
+    reach = 1.0
+    if off is not None and delta_star > 0:
+        reach = min(1.0, -off / delta_star)
+    return ud_u + max(0.0, gain) * reach
+
+
 def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolution:
     """Best solution over every target and every band.
 
@@ -828,6 +863,14 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     grid solver.  Every returned solution is re-verified against the full
     program; candidates that fail (band-edge rounding, or instances
     accepted under lenient validation) are discarded with a count.
+
+    Branch and bound (Land & Doig, Econometrica 1960): targets are visited
+    in descending ``ud_a`` order, and a band whose :func:`band_bound` lies
+    strictly below the best objective found so far is skipped, counted in
+    ``details["pruned"]``.  A skipped band cannot hold the best point, and
+    a band that ties the best is still solved, so the solution and its
+    tie-break are those of solving every band; ``band_winners`` lists the
+    solved bands only.
     """
     cfg = cfg or SolveConfig()
     cset = cx.coverage_set(game, cfg.enumeration_cap)
@@ -835,9 +878,10 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     best = None
     best_sol = None
     band_winners = []
-    discarded = 0
+    discarded = pruned = 0
     isolated = hits = pieces = requested = 0
-    for star in range(game.n_targets):
+    for star in sorted(range(game.n_targets),
+                       key=lambda s: -game.utilities[s][0]):
         const = game.utilities[star][1]
         cache = _RootCache()  # the bands of one target share their algebra
         order = sort_deltas(game, star)
@@ -847,6 +891,11 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
                 continue  # band needs p (x + D_star) < -offset <= 0: empty
             if 1 <= j <= len(order) - 1 and offs[j - 1] == offs[j]:
                 continue  # tied offsets leave no room between the curves
+            if best is not None and band_bound(
+                    const, d.delta_d[star], d.delta[star],
+                    offs[j - 1] if j >= 1 else None) < best[0]:
+                pruned += 1
+                continue
             eq = build_subproblem(game, star, j, cset, cache)
             sol = None
             cand = None
@@ -883,6 +932,7 @@ def solve_fptas(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolu
     best_sol.details["root_bits"] = cfg.root_bits
     best_sol.details["n_constraints"] = len(cset.constraints)
     best_sol.details["discarded_candidates"] = discarded
+    best_sol.details["pruned"] = pruned
     best_sol.details["roots_isolated"] = isolated
     best_sol.details["root_cache_hits"] = hits
     best_sol.details["envelope_pieces"] = pieces

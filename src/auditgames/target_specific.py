@@ -127,7 +127,7 @@ _newton_minimize = _decompose
 
 
 def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
-                     tally: Counter | None = None):
+                     tally: Counter | None = None, *, net=None, deltas=None):
     """Optimal punishments and coverages at fixed attacked-target coverage.
 
     Maximizes ``p_star * D_D(star) - sum(c_i x_i)`` with the attacked
@@ -138,9 +138,14 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     be met even at full coverage and punishment, or when the least
     coverages l do not route with p_star, naming the (attacked target,
     coverage) pair and the min cut's target set.
+
+    ``net`` (an empty :class:`constraints.CoverageNetwork` of the game,
+    which is copied, not changed) and ``deltas`` (the game's
+    :func:`compute_deltas`) let a caller that solves many pairs build
+    them once; each is built here when not given.
     """
     tally = Counter() if tally is None else tally
-    d = compute_deltas(game)
+    d = compute_deltas(game) if deltas is None else deltas
     pair = f"attacked target {star} at coverage {p_star:.6g}"
     kappa = p_star * d.delta[star] + d.delta_pair[:, star]
     kappa[star] = 0.0
@@ -157,7 +162,7 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     p[star] = p_star
     x = np.zeros(game.n_targets)
     costs = np.asarray(game.target_costs, dtype=float)
-    net = cx.CoverageNetwork(game)
+    net = cx.CoverageNetwork(game) if net is None else net.copy()
     tally["flows"] += 1
     if net.route({star: p_star}):
         raise Infeasible(f"{pair}: attacked-target coverage violates "
@@ -189,29 +194,46 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
     The attacked target's punishment is pinned at zero in every returned
     solution; remaining rates are chosen by the exact fixed-coverage
     subproblems, one :func:`solve_socp_fixed` per (attacked target, grid
-    coverage) pair.  The grid step is ``cfg.epsilon`` (default 0.01
-    here); ``cfg.enumeration_cap`` is ignored, as no C is enumerated.
-    The solution is checked, and its residuals reported, by
+    coverage) pair, all on copies of one empty ``CoverageNetwork``.  The
+    grid step is ``cfg.epsilon`` (default 0.01 here);
+    ``cfg.enumeration_cap`` is ignored, as no C is enumerated.  The
+    solution is checked, and its residuals reported, by
     :func:`fpt.verify_solution`, as fpt's and fptas' are.
+
+    Branch and bound (Land & Doig, Econometrica 1960): targets are visited
+    in descending ``ud_a`` order and grid coverages from 1 down.  Costs
+    are nonnegative, so a pair (s, p_s) reaches at most
+    ``ud_u(s) + p_s D_D(s)``; a pair whose bound lies strictly below the
+    best objective found so far is skipped, counted in
+    ``details["pruned"]``.  Pairs that tie the best are still solved, so
+    the solution and its tie-break are those of solving every pair.
     """
     if cfg is None:
         cfg = SolveConfig(epsilon=DEFAULT_P_STEP)
-    grid = x_grid(cfg.epsilon)
+    grid = x_grid(cfg.epsilon)[::-1]
+    d = compute_deltas(game)
+    net = cx.CoverageNetwork(game)
     best = None
-    solved = 0
-    infeasible = 0
+    solved = infeasible = pruned = 0
     tally = Counter()
-    for star in range(game.n_targets):
+    for star in sorted(range(game.n_targets),
+                       key=lambda s: -game.utilities[s][0]):
+        ud_u = game.utilities[star][1]
+        gain = float(d.delta_d[star])
         for p_star in grid:
             if game.unauditable[star] and p_star > 0:
                 continue
+            if best is not None and ud_u + p_star * gain < best[0][0]:
+                pruned += 1
+                continue
             try:
-                p, x, raw = solve_socp_fixed(game, star, p_star, tally)
+                p, x, raw = solve_socp_fixed(game, star, p_star, tally,
+                                             net=net, deltas=d)
             except Infeasible:
                 infeasible += 1
                 continue
             solved += 1
-            key = (game.utilities[star][1] + raw, -p_star, -star)
+            key = (ud_u + raw, -p_star, -star)
             if best is None or key > best[0]:
                 best = (key, p, x, star)
     if best is None:
@@ -224,6 +246,7 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
             "p_step": cfg.epsilon,
             "subproblems_solved": solved,
             "subproblems_infeasible": infeasible,
+            "pruned": pruned,
             "flows": tally["flows"],
             "splits": tally["splits"],
             "x_star": float(x[star]),

@@ -181,3 +181,85 @@ def all_pairs_candidates(eq, l=20, game_const=0.0, cache=None):
     feasible = [c for c in candidates if c.feasible]
     feasible.sort(key=lambda c: (-c.objective, c.x))
     return feasible
+
+
+def fptas_every_band(game, root_bits=20):
+    """fptas with no bound: every nonempty band of every target, each
+    band's first candidate that recovers, best by (objective, -x, -star).
+    Returns the best solution and the band winners as (star, band,
+    objective, x, p_star)."""
+    from auditgames import constraints as cx
+    from auditgames import fptas
+    from auditgames.errors import DegenerateDenominator, VerificationFailed
+    from auditgames.fpt import SolveConfig
+    cset = cx.coverage_set(game, SolveConfig().enumeration_cap)
+    d = compute_deltas(game)
+    best, winners = None, []
+    for star in range(game.n_targets):
+        cache = fptas._RootCache()
+        order = fptas.sort_deltas(game, star)
+        offs = [d.delta_pair[i, star] for i in order]
+        for j in range(len(order) + 1):
+            if j >= 1 and offs[j - 1] >= 0 and d.delta[star] >= 0:
+                continue
+            if 1 <= j <= len(order) - 1 and offs[j - 1] == offs[j]:
+                continue
+            eq = fptas.build_subproblem(game, star, j, cset, cache)
+            for cand in fptas.apx_candidates(eq, root_bits,
+                                             game.utilities[star][1], cache):
+                try:
+                    sol = fptas.recover_full_solution(game, star, eq,
+                                                      cand.p_n, cand.x)
+                except (VerificationFailed, DegenerateDenominator):
+                    continue
+                winners.append((star, j, sol.objective, sol.x, cand.p_n))
+                key = (sol.objective, -sol.x, -star)
+                if best is None or key > best[0]:
+                    best = (key, sol)
+                break
+    return best[1], winners
+
+
+def px_every_pair(game, step):
+    """tsp with no bound: ``solve_socp_fixed`` on every (attacked target,
+    grid coverage) pair, best by (objective, -p_star, -star).  Returns
+    (objective, star, p, x) of the best pair and the number of pairs."""
+    from auditgames.errors import Infeasible
+    from auditgames.fpt import x_grid
+    from auditgames.target_specific import solve_socp_fixed
+    best, pairs = None, 0
+    for star in range(game.n_targets):
+        for p_star in x_grid(step):
+            if game.unauditable[star] and p_star > 0:
+                continue
+            pairs += 1
+            try:
+                p, x, raw = solve_socp_fixed(game, star, p_star)
+            except Infeasible:
+                continue
+            key = (game.utilities[star][1] + raw, -p_star, -star)
+            if best is None or key > best[0]:
+                best = (key, p, x)
+    (objective, _, neg_star), p, x = best
+    return (objective, -neg_star, p, x), pairs
+
+
+def bound_games(count=24):
+    """Seeded small games on a 1/64 utility grid for the branch-and-bound
+    checks, with restrictions and, on odd seeds, per-target costs.  On
+    seeds not divisible by 3 they also have a1 > 0, a lenient last target
+    (ua_audited above ua_unaudited) and targets 0 and 1 tied in
+    ua_unaudited."""
+    for seed in range(count):
+        n = 3 + seed % 4
+        g = rand_game(n, 1 + seed % min(2, n - 1), density=0.25,
+                      seed=1300 + seed, a_vec=seed % 2 == 1, snap_bits=6)
+        rows = [list(u) for u in g.utilities]
+        if seed % 3:
+            rows[1][3] = rows[0][3]
+            rows[1][2] = min(rows[1][2], rows[1][3])
+            rows[-1][2], rows[-1][3] = rows[-1][3], rows[-1][2]
+        yield validate_game(n, g.n_resources, rows, g.restrictions,
+                            cost_a=0.01, cost_a1=0.125 * (seed % 3),
+                            per_target_costs=g.per_target_costs,
+                            lenient=True)

@@ -27,7 +27,9 @@ from auditgames.poly import (
 
 from helpers import (
     all_pairs_candidates,
+    bound_games,
     dense_restriction_game,
+    fptas_every_band,
     grouped_game,
     rand_game,
     single_resource_grid_oracle,
@@ -418,10 +420,14 @@ def test_shared_denominator_crossing_matches_cross_product():
     g = rand_game(6, 2, density=0.3, seed=8)
     cset = cx.coverage_set(g, SolveConfig().enumeration_cap)
     cache = fptas._RootCache()
-    eq = build_subproblem(g, 2, 1, cset, cache)
-    bounds = eq.boundaries
-    pairs = [(b1, b2) for i, b1 in enumerate(bounds) for b2 in bounds[i + 1:]
-             if b1.den == b2.den]
+    # one band keeps one coverage row, so take the pairs of every band
+    pairs = {}
+    for j in range(len(sort_deltas(g, 2)) + 1):
+        bounds = build_subproblem(g, 2, j, cset, cache).boundaries
+        pairs.update(((id(b1), id(b2)), (b1, b2))
+                     for i, b1 in enumerate(bounds) for b2 in bounds[i + 1:]
+                     if b1.den == b2.den)
+    pairs = list(pairs.values())
     assert len(pairs) >= 10
     for b1, b2 in pairs:
         cross = poly_sub(poly_mul(b1.num, b2.den), poly_mul(b2.num, b1.den))
@@ -577,19 +583,60 @@ def test_identical_curves_tie_deterministically():
             (p.rep.k, p.members, p.lo, p.hi) for p in runs[1].upper]
 
 
-def test_sweep_requests_fewer_crossings_than_all_pairs(monkeypatch):
+def test_sweep_requests_fewer_crossings_than_all_pairs():
+    # every band, not only those solve_fptas's bound leaves to solve
     g = grouped_game(20, 10, 5)
     sizes = []
-    original_build = fptas.build_subproblem
-
-    def build(*args):
-        eq = original_build(*args)
+    requested = pieces = 0
+    for star, eq, cache in _bands(g):
         sizes.append(len(eq.boundaries))
-        return eq
-
-    monkeypatch.setattr(fptas, "build_subproblem", build)
-    sol = solve_fptas(g, SolveConfig(root_bits=20))
-    all_pairs = sum(n * (n - 1) // 2 for n in sizes)
-    assert 0 < sol.details["crossings_requested"] < all_pairs
+        before = cache.crossings_requested, cache.pieces
+        apx_candidates(eq, 20, g.utilities[star][1], cache)
+        requested += cache.crossings_requested - before[0]
+        pieces += cache.pieces - before[1]
+    # the sweep's requests include crossings with the two box rows, whose
+    # polynomials the all-pairs oracle isolates as fixed-coverage conditions
+    all_pairs = sum((n + 2) * (n + 1) // 2 for n in sizes)
+    assert 0 < requested < all_pairs
     # every band has at least one piece on each envelope
-    assert sol.details["envelope_pieces"] >= 2 * len(sizes)
+    assert pieces >= 2 * len(sizes)
+
+
+def test_bound_keeps_the_every_band_solution():
+    pruned = 0
+    for g in list(bound_games()) + [grouped_game(20, 10, 5)]:
+        sol = solve_fptas(g, SolveConfig(root_bits=20))
+        want, winners = fptas_every_band(g)
+        assert (sol.objective, sol.x, sol.star) == (want.objective, want.x,
+                                                    want.star)
+        np.testing.assert_array_equal(sol.p, want.p)
+        # the bands left to solve have the winners they have unbounded
+        solved = {(w["star"], w["band"], w["objective"], w["x"], w["p_star"])
+                  for w in sol.details["band_winners"]}
+        assert solved <= set(winners)
+        pruned += sol.details["pruned"]
+    assert pruned > 0
+
+
+def test_band_winners_lie_within_their_band_bound():
+    for g in list(bound_games()) + [grouped_game(20, 10, 5)]:
+        d = compute_deltas(g)
+        for star, j, objective, _, _ in fptas_every_band(g)[1]:
+            order = sort_deltas(g, star)
+            off = d.delta_pair[order[j - 1], star] if j else None
+            assert objective <= fptas.band_bound(
+                g.utilities[star][1], d.delta_d[star], d.delta[star], off), (
+                star, j)
+
+
+def test_bound_solves_bands_that_tie_the_best():
+    # no costs: target 1's band 1 reaches 0.875 at x = 1/8, and its band
+    # 2, whose bound is exactly 0.875, reaches it at x = 0
+    g = validate_game(3, 1, [(0.875, 0.25, 0.625, 0.75),
+                             (0.875, 0.75, 0.875, 0.875),
+                             (0.375, 0.0, 0.125, 0.5)], cost_a=0.0)
+    sol = solve_fptas(g, SolveConfig(root_bits=20))
+    want, _ = fptas_every_band(g)
+    assert (sol.objective, sol.x, sol.star) == (0.875, 0.0, 1)
+    assert (sol.objective, sol.x, sol.star) == (want.objective, want.x,
+                                                want.star)

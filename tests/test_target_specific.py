@@ -16,7 +16,12 @@ from auditgames.target_specific import (
     solve_socp_fixed,
 )
 
-from helpers import dense_restriction_game, rand_game
+from helpers import (
+    bound_games,
+    dense_restriction_game,
+    px_every_pair,
+    rand_game,
+)
 
 
 def test_soc_identity_simple():
@@ -296,8 +301,8 @@ def test_start_error_names_the_hyperbola():
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_batched_solve_matches_single_pair_solves(seed):
-    # solve_px over the grid is the best of the single-pair solves, with
-    # their counts
+    # solve_px over the grid is the best of the single-pair solves; each
+    # pair is solved, found infeasible or skipped by the bound
     g = _edge_game(seed)
     d = compute_deltas(g)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -325,12 +330,15 @@ def test_batched_solve_matches_single_pair_solves(seed):
                                  "decomposed")), seen
     assert not seen["other"]
     sol = solve_px(g, SolveConfig(epsilon=0.25))
-    assert sol.details["subproblems_solved"] == solved
-    assert sol.details["subproblems_infeasible"] == infeasible
+    assert (sol.details["subproblems_solved"]
+            + sol.details["subproblems_infeasible"]
+            + sol.details["pruned"]) == solved + infeasible
+    assert sol.details["subproblems_solved"] <= solved
+    assert sol.details["subproblems_infeasible"] <= infeasible
     assert (sol.star, sol.p[sol.star]) == (-best[2], -best[1])
     assert sol.objective == best[0]
-    assert sol.details["flows"] == tally["flows"]
-    assert sol.details["splits"] == tally["splits"]
+    assert sol.details["flows"] <= tally["flows"]
+    assert sol.details["splits"] <= tally["splits"]
 
 
 def test_px_on_eight_targets_does_not_stall():
@@ -355,8 +363,9 @@ def test_knife_edge_pair_is_feasible():
 
 def test_px_ignores_the_enumeration_cap():
     # 111 connected subgraphs and 2^3 resource subsets, both past a cap
-    # of 1: tsp enumerates no C
-    g = dense_restriction_game(12, 3, seed=1)
+    # of 1: tsp enumerates no C; on this seed a pair the bound leaves to
+    # solve splits
+    g = dense_restriction_game(12, 3, seed=2)
     capped = solve_px(g, SolveConfig(epsilon=0.05, enumeration_cap=1))
     free = solve_px(g, SolveConfig(epsilon=0.05))
     assert capped.objective == free.objective
@@ -458,3 +467,30 @@ def test_exact_pairs_are_never_beaten_by_slsqp():
                     assert slsqp_cost >= cost - 1e-9, (g, star, p_star)
     assert compared >= 200
     assert splits >= 10
+
+
+def test_bound_keeps_the_every_pair_solution():
+    pruned = 0
+    for g in bound_games():
+        for step in (0.25, 0.05):
+            sol = solve_px(g, SolveConfig(epsilon=step))
+            (objective, star, p, x), pairs = px_every_pair(g, step)
+            assert (sol.objective, sol.star) == (objective, star)
+            np.testing.assert_array_equal(sol.p, p)
+            np.testing.assert_array_equal(sol.x, x)
+            assert pairs == (sol.details["subproblems_solved"]
+                             + sol.details["subproblems_infeasible"]
+                             + sol.details["pruned"])
+            pruned += sol.details["pruned"]
+    assert pruned > 0
+
+
+def test_bound_solves_pairs_that_tie_the_best():
+    # target 0 gains nothing from coverage and needs no punishment at any
+    # coverage, so every grid point ties at 0.9 and the least coverage wins
+    g = validate_game(3, 1, [(0.9, 0.9, 0.5, 0.75), (0.6, 0.2, 0.1, 0.4),
+                             (0.5, 0.1, 0.2, 0.3)], cost_a=0.01)
+    sol = solve_px(g, SolveConfig(epsilon=0.25))
+    (objective, star, p, _), _ = px_every_pair(g, 0.25)
+    assert (sol.objective, sol.star, sol.p[sol.star]) == (0.9, 0, 0.0)
+    assert (objective, star, p[star]) == (0.9, 0, 0.0)
