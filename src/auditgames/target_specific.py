@@ -127,7 +127,7 @@ _newton_minimize = _decompose
 
 
 def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
-                     tally: Counter | None = None, *, net=None, deltas=None):
+                     tally: Counter | None = None, *, net=None):
     """Optimal punishments and coverages at fixed attacked-target coverage.
 
     Maximizes ``p_star * D_D(star) - sum(c_i x_i)`` with the attacked
@@ -139,13 +139,12 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     coverages l do not route with p_star, naming the (attacked target,
     coverage) pair and the min cut's target set.
 
-    ``net`` (an empty :class:`constraints.CoverageNetwork` of the game,
-    which is copied, not changed) and ``deltas`` (the game's
-    :func:`compute_deltas`) let a caller that solves many pairs build
-    them once; each is built here when not given.
+    ``net``, an empty :class:`constraints.CoverageNetwork` of the game,
+    which is copied, not changed, lets a caller that solves many pairs
+    build it once; it is built here when not given.
     """
     tally = Counter() if tally is None else tally
-    d = compute_deltas(game) if deltas is None else deltas
+    d = compute_deltas(game)
     pair = f"attacked target {star} at coverage {p_star:.6g}"
     kappa = p_star * d.delta[star] + d.delta_pair[:, star]
     kappa[star] = 0.0
@@ -228,7 +227,7 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
                 continue
             try:
                 p, x, raw = solve_socp_fixed(game, star, p_star, tally,
-                                             net=net, deltas=d)
+                                             net=net)
             except Infeasible:
                 infeasible += 1
                 continue

@@ -349,25 +349,35 @@ def test_root_cache_isolates_each_polynomial_once_per_target(monkeypatch):
         assert len(set(monic)) == len(monic)
 
 
+def _first_recovered(game, star, eq, candidates):
+    """(objective, x, p_star, provenance) of the first candidate that
+    recovers, None when none does."""
+    for cand in candidates:
+        try:
+            sol = recover_full_solution(game, star, eq, cand.p_n, cand.x)
+        except (VerificationFailed, DegenerateDenominator):
+            continue
+        return sol.objective, sol.x, cand.p_n, cand.provenance
+    return None
+
+
 def test_band_winners_match_uncached_candidates():
+    # every band, not only those solve_fptas's bound leaves to solve
     for g in _cache_games():
-        cfg = SolveConfig(root_bits=20)
-        sol = solve_fptas(g, cfg)
-        cset = cx.coverage_set(g, cfg.enumeration_cap)
+        cset = cx.coverage_set(g, SolveConfig().enumeration_cap)
+        cached = {}
+        for star, eq, cache in _bands(g):
+            const = g.utilities[star][1]
+            got = _first_recovered(g, star, eq,
+                                   apx_candidates(eq, 20, const, cache))
+            fresh = build_subproblem(g, star, eq.j, cset)
+            assert got == _first_recovered(g, star, fresh, apx_candidates(
+                fresh, 20, game_const=const)), (star, eq.j)
+            cached[star, eq.j] = got
+        sol = solve_fptas(g, SolveConfig(root_bits=20))
         for w in sol.details["band_winners"]:
-            star = w["star"]
-            eq = build_subproblem(g, star, w["band"], cset)
-            fresh = apx_candidates(eq, 20, game_const=g.utilities[star][1])
-            for cand in fresh:
-                try:
-                    recovered = recover_full_solution(g, star, eq, cand.p_n,
-                                                      cand.x)
-                    break
-                except (VerificationFailed, DegenerateDenominator):
-                    continue
-            assert (recovered.objective, recovered.x, cand.p_n,
-                    cand.provenance) == (w["objective"], w["x"],
-                                         w["p_star"], w["provenance"])
+            assert cached[w["star"], w["band"]] == (
+                w["objective"], w["x"], w["p_star"], w["provenance"])
 
 
 def test_root_counters_show_shared_isolations(monkeypatch):
@@ -440,13 +450,8 @@ def test_shared_denominator_crossing_matches_cross_product():
 
 def _recovered(game, star, eq, candidates):
     """(objective, x, p_star) of the first candidate that recovers."""
-    for cand in candidates:
-        try:
-            sol = recover_full_solution(game, star, eq, cand.p_n, cand.x)
-        except (VerificationFailed, DegenerateDenominator):
-            continue
-        return sol.objective, sol.x, cand.p_n
-    return None
+    winner = _first_recovered(game, star, eq, candidates)
+    return winner and winner[:3]
 
 
 def _bands(g):
@@ -583,23 +588,37 @@ def test_identical_curves_tie_deterministically():
             (p.rep.k, p.members, p.lo, p.hi) for p in runs[1].upper]
 
 
-def test_sweep_requests_fewer_crossings_than_all_pairs():
-    # every band, not only those solve_fptas's bound leaves to solve
+def test_sweep_requests_fewer_crossings_than_all_pairs(monkeypatch):
+    sweeps = []
+
+    class Recorded(fptas._Envelopes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps.append(self)
+
+    def requested(envs):
+        # the memo holds each request under both orders; curves from n on
+        # are the two box rows
+        pairs = sum(a < env.n and c < env.n for env in envs
+                    for a, c in env.memo) // 2
+        return pairs, sum(len(env.memo) for env in envs) // 2
+
+    def all_pairs(envs):
+        return sum(env.n * (env.n - 1) // 2 for env in envs)
+
+    monkeypatch.setattr(fptas, "_Envelopes", Recorded)
     g = grouped_game(20, 10, 5)
-    sizes = []
-    requested = pieces = 0
+    # every band, not only those solve_fptas's bound leaves to solve
     for star, eq, cache in _bands(g):
-        sizes.append(len(eq.boundaries))
-        before = cache.crossings_requested, cache.pieces
         apx_candidates(eq, 20, g.utilities[star][1], cache)
-        requested += cache.crossings_requested - before[0]
-        pieces += cache.pieces - before[1]
-    # the sweep's requests include crossings with the two box rows, whose
-    # polynomials the all-pairs oracle isolates as fixed-coverage conditions
-    all_pairs = sum((n + 2) * (n + 1) // 2 for n in sizes)
-    assert 0 < requested < all_pairs
+    assert 0 < requested(sweeps)[0] < all_pairs(sweeps)
+    sweeps.clear()
+    sol = solve_fptas(g, SolveConfig(root_bits=20))
+    pairs, total = requested(sweeps)
+    assert 0 < pairs < all_pairs(sweeps)
+    assert sol.details["crossings_requested"] == total
     # every band has at least one piece on each envelope
-    assert pieces >= 2 * len(sizes)
+    assert sol.details["envelope_pieces"] >= 2 * len(sweeps)
 
 
 def test_bound_keeps_the_every_band_solution():
