@@ -8,17 +8,19 @@ The decomposition then writes that (doubly sub-stochastic) matrix as a convex
 combination of pure audits, each a tuple of (resource, target) pairs.  It
 counts in integer units of ``constraints.UNIT`` = 2^-45: the matrix is
 floored to units (a no-op on flow output) and padded with its exact line
-slacks to a square matrix whose lines all sum to 2^45, perfect matchings
-(scipy's Hopcroft-Karp) are peeled off one at a time, each subtracting its
-smallest matched entry, which it zeroes, and the slack part of each
-matching is stripped away.  The weights are whole multiples of 2^-45 that
-sum to exactly 1.  A row or column that overshoots 1 by no more than the
-solvers' verification tolerance is scaled back to 1 first.
+slacks to a square matrix whose lines all sum to 2^45.  One perfect
+matching (scipy's Hopcroft-Karp) is taken up front; each round peels it
+off with its smallest matched entry, which it zeroes, strips the slack
+part, and repairs the matching by one augmenting path per zeroed entry.
+The weights are whole multiples of 2^-45 that sum to exactly 1.  A row or
+column that overshoots 1 by no more than the solvers' verification
+tolerance is scaled back to 1 first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -49,10 +51,14 @@ class PureStrategyMixture:
     shape: tuple
 
     def reconstruct(self) -> np.ndarray:
+        # exact in any order: every partial sum is a multiple of 2^-45
+        # in [0, 1]
+        sizes = [len(pairs) for pairs in self.assignments]
+        idx = np.fromiter(chain.from_iterable(chain.from_iterable(
+            self.assignments)), dtype=np.intp).reshape(-1, 2)
         total = np.zeros(self.shape)
-        for w, pairs in zip(self.weights, self.assignments):
-            idx = np.array(pairs, dtype=int).reshape(-1, 2)
-            total[idx[:, 0], idx[:, 1]] += w
+        np.add.at(total, (idx[:, 0], idx[:, 1]),
+                  np.repeat(self.weights, sizes))
         return total
 
     @property
@@ -83,13 +89,41 @@ def _perfect_matching(support: np.ndarray):
     return None if np.any(match_col < 0) else match_col
 
 
+def _augment(start: int, match: np.ndarray, owner: list,
+             support: list) -> None:
+    """Re-match the free row ``start`` along one shortest augmenting path
+    of the live support, found by breadth-first search."""
+    via = {}  # column -> the row that reached it
+    frontier = [start]
+    for r in frontier:
+        for c in support[r]:
+            if c in via:
+                continue
+            via[c] = r
+            if owner[c] < 0:
+                while True:  # flip the path back to start
+                    row = via[c]
+                    prev = int(match[row])
+                    match[row] = c
+                    owner[c] = row
+                    if row == start:
+                        return
+                    c = prev
+            frontier.append(owner[c])
+    raise NumericalResidual("no perfect matching on padded support")
+
+
 def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
     """Deterministic Birkhoff-style peeling of the padded matrix in units.
 
-    Each round takes a perfect matching of the support and peels it off
-    with its smallest matched entry, so that entry is zeroed and the
-    component count stays below the padded nonzero count plus one.
-    Identical stripped assignments are merged.
+    Hopcroft-Karp gives the first perfect matching of the support.  Each
+    round peels the matching off with its smallest matched entry, so that
+    entry is zeroed and the component count stays below the padded
+    nonzero count plus one.  Every row whose matched entry hit zero loses
+    that edge and is re-matched by one augmenting path over the live
+    support.  What is left is a positive multiple of a doubly stochastic
+    matrix, so it has a perfect matching M*, and the free row's component
+    of M xor M* is such a path.  Identical stripped assignments are merged.
     """
     m = np.asarray(alloc.entries, dtype=float)
     if np.any(m < -RESIDUAL_TOL):
@@ -109,19 +143,34 @@ def bvn_decompose(alloc: AllocationMatrix) -> PureStrategyMixture:
     units = np.floor(m / UNIT).astype(np.int64)
     d = np.block([[units, np.diag(ONE - units.sum(axis=1))],
                   [np.diag(ONE - units.sum(axis=0)), units.T]])
+    match = _perfect_matching(d > 0)
+    if match is None:
+        raise NumericalResidual("no perfect matching on padded support")
     rows = np.arange(k + n)
+    support = [[] for _ in rows]  # live columns of each row, ascending
+    for r, c in zip(*(idx.tolist() for idx in np.nonzero(d))):
+        support[r].append(c)
+    owner = np.argsort(match).tolist()  # column -> matched row
     collected = {}
     left = ONE  # every line of d sums to this
-    while left:
-        match = _perfect_matching(d > 0)
-        if match is None:
-            raise NumericalResidual("no perfect matching on padded support")
-        weight = int(d[rows, match].min())
-        d[rows, match] -= weight
+    while True:
+        vals = d[rows, match]
+        weight = int(vals.min())
+        d[rows, match] = vals - weight
         left -= weight
         # strip slack-touching edges: keep only the real k x n block
-        key = tuple((r, int(c)) for r, c in enumerate(match[:k]) if c < n)
+        real = match[:k] < n
+        key = tuple(zip(rows[:k][real].tolist(), match[:k][real].tolist()))
         collected[key] = collected.get(key, 0) + weight
+        if not left:
+            break
+        zeroed = np.flatnonzero(vals == weight).tolist()
+        for r in zeroed:
+            c = int(match[r])
+            support[r].remove(c)
+            owner[c] = -1
+        for r in zeroed:
+            _augment(r, match, owner, support)
 
     keys = sorted(collected)
     mixture = PureStrategyMixture(

@@ -179,7 +179,13 @@ def counterexample_curve(step: float = 0.005, star: int = COUNTEREXAMPLE_STAR):
 # --- command dispatch ------------------------------------------------------
 
 def _emit(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, default=float) + "\n"
+    """Write ``data`` as JSON with one top-level key a line.  Each value is
+    encoded on its own by json's C encoder, which ``indent`` would switch
+    off."""
+    text = "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: "
+        f"{json.dumps(data[key], sort_keys=True, default=float)}"
+        for key in sorted(data)) + "\n}\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

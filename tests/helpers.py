@@ -263,3 +263,35 @@ def bound_games(count=24):
                             cost_a=0.01, cost_a1=0.125 * (seed % 3),
                             per_target_costs=g.per_target_costs,
                             lenient=True)
+
+
+def peel_from_scratch(m):
+    """Birkhoff peel of a sub-stochastic matrix that runs Hopcroft-Karp on
+    the whole padded support every round, in the same 2^-45 units as
+    ``alloc.bvn_decompose``: the reference for its repaired matching."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    from auditgames.alloc import ONE, PureStrategyMixture
+    from auditgames.constraints import UNIT
+
+    k, n = m.shape
+    units = np.floor(np.asarray(m, dtype=float) / UNIT).astype(np.int64)
+    d = np.block([[units, np.diag(ONE - units.sum(axis=1))],
+                  [np.diag(ONE - units.sum(axis=0)), units.T]])
+    rows = np.arange(k + n)
+    collected = {}
+    left = ONE
+    while left:
+        match = maximum_bipartite_matching(csr_array(d > 0),
+                                           perm_type="column")
+        assert np.all(match >= 0)
+        weight = int(d[rows, match].min())
+        d[rows, match] -= weight
+        left -= weight
+        key = tuple((r, int(c)) for r, c in enumerate(match[:k]) if c < n)
+        collected[key] = collected.get(key, 0) + weight
+    keys = sorted(collected)
+    return PureStrategyMixture(
+        weights=tuple(collected[key] * UNIT for key in keys),
+        assignments=tuple(keys), shape=(k, n))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from auditgames import alloc
 from auditgames.alloc import (
     AllocationMatrix,
     PureStrategyMixture,
@@ -14,7 +15,12 @@ from auditgames.errors import Infeasible, NumericalResidual
 from auditgames.fpt import SolveConfig, solve_fpt
 from auditgames.model import validate_game
 
-from helpers import dense_restriction_game, rand_game
+from helpers import (
+    dense_restriction_game,
+    grouped_game,
+    peel_from_scratch,
+    rand_game,
+)
 
 UTIL = (0.6, 0.5, 0.2, 0.3)
 
@@ -204,3 +210,68 @@ def test_overshoot_within_verification_tolerance_is_rescaled():
               col + np.array([[0, 0, 0], [2e-7, 0, 0]])):
         with pytest.raises(NumericalResidual, match="not sub-stochastic"):
             bvn_decompose(AllocationMatrix(m))
+
+
+def permutation_mixture(rng, k, n, count):
+    # equal-weight sum of partial permutation matrices: ties everywhere
+    m = np.zeros((k, n))
+    for _ in range(count):
+        m[np.arange(k), rng.permutation(n)[:k]] += 1.0 / count
+    return m
+
+
+def tied_matrices():
+    yield np.full((3, 3), 1.0 / 3.0)
+    rng = np.random.default_rng(17)
+    for k, n, count in ((3, 3, 2), (4, 4, 4), (3, 7, 4), (6, 10, 8)):
+        yield permutation_mixture(rng, k, n, count)
+    # block-diagonal: two groups of 5 resources, each over its 10 targets
+    block = np.array([8, 7, 6, 5, 4, 4, 3, 2, 1, 0]) / 8.0  # sums to 5
+    yield recover_allocation(grouped_game(20, 10, 5, seed=3),
+                             np.tile(block, 2)).entries
+
+
+def test_repaired_peel_matches_the_from_scratch_peel_on_ties():
+    for m in tied_matrices():
+        k, n = m.shape
+        mix = bvn_decompose(AllocationMatrix(m))
+        oracle = peel_from_scratch(m)
+        assert np.array_equal(mix.reconstruct(), oracle.reconstruct())
+        assert math.fsum(mix.weights) == math.fsum(oracle.weights) == 1.0
+        assert min(mix.weights) > 0.0
+        padded_nnz = 2 * int((m > 0).sum()) + k + n
+        assert len(mix.weights) <= padded_nnz + 1
+        assert len(set(mix.assignments)) == len(mix.assignments)
+        for pairs in mix.assignments:
+            assert_pure_audit(pairs, k, n)
+        again = bvn_decompose(AllocationMatrix(m))
+        assert again.weights == mix.weights
+        assert again.assignments == mix.assignments
+
+
+def test_tied_matrices_zero_several_matched_entries_in_one_round(
+        monkeypatch):
+    # every zeroed entry frees its column before the first repair of the
+    # round, so a repair that sees two free columns follows a tie
+    repair = alloc._augment
+    free_at_repair = []
+
+    def spy(start, match, owner, support):
+        free_at_repair.append(owner.count(-1))
+        return repair(start, match, owner, support)
+
+    monkeypatch.setattr(alloc, "_augment", spy)
+    for m in tied_matrices():
+        free_at_repair.clear()
+        bvn_decompose(AllocationMatrix(m))
+        assert max(free_at_repair) >= 2
+
+
+def test_wide_sparse_matrix_of_fifty_by_twelve_hundred():
+    m = random_substochastic(np.random.default_rng(0), 50, 1200, 0.96)
+    mix = bvn_decompose(AllocationMatrix(m))
+    assert np.abs(mix.reconstruct() - m).max() <= 1e-9
+    padded_nnz = 2 * int((m > 0).sum()) + 50 + 1200
+    assert len(mix.weights) <= padded_nnz + 1
+    for pairs in mix.assignments:
+        assert_pure_audit(pairs, 50, 1200)

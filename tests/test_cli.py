@@ -13,6 +13,7 @@ from auditgames.cli import (
     BenchConfig,
     COUNTEREXAMPLE_ROWS,
     COUNTEREXAMPLE_STAR,
+    _emit,
     bench,
     counterexample_curve,
     counterexample_game,
@@ -223,6 +224,29 @@ def test_cli_reports_deterministic(tmp_path):
     run(["solve", "--in", str(game_path), "--method", "fptas", "--out", str(r1)])
     run(["solve", "--in", str(game_path), "--method", "fptas", "--out", str(r2)])
     assert r1.read_text() == r2.read_text()
+
+
+def test_emit_writes_one_top_level_key_a_line(tmp_path):
+    game_path = tmp_path / "g.json"
+    run(["generate", "--targets", "8", "--resources", "4", "--group", "2",
+         "--seed", "3", "--out", str(game_path)])
+    rep_path, mix_path = tmp_path / "rep.json", tmp_path / "mix.json"
+    assert run(["solve", "--in", str(game_path), "--method", "fpt",
+                "--epsilon", "0.1", "--out", str(rep_path)]) == 0
+    assert run(["decompose", "--in", str(rep_path), "--out",
+                str(mix_path)]) == 0
+    for path in (rep_path, mix_path):
+        data = json.loads(path.read_text())
+        out = tmp_path / "again.json"
+        _emit(data, str(out))
+        text = out.read_text()
+        assert json.loads(text) == data
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        # each inner line holds one key and its whole value
+        assert [json.loads("{" + line.rstrip(",") + "}")
+                for line in lines[1:-1]] == [{key: data[key]}
+                                             for key in sorted(data)]
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
