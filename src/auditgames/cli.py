@@ -234,6 +234,8 @@ def _cmd_solve(args) -> int:
 def _cmd_constraints(args) -> int:
     if not args.infile:
         raise UsageError("constraints requires --in PATH")
+    if args.cap < 1:
+        raise UsageError("enumeration cap must be at least 1")
     game = load_game(args.infile, lenient=args.lenient)
     cset = cx.constraint_find(game, cap=args.cap)
     graph = cx.build_intersection_graph(cx.merge_targets(game))

@@ -10,7 +10,10 @@ induced subgraphs.  Both define the same polytope; the equivalence
 oracle below checks that via pairwise LP implication.  fpt and fptas
 take C from :func:`coverage_set`, which runs the target-side algorithm
 while it enumerates no more than the 2^k resource subsets would, and the
-resource-side enumeration otherwise.
+resource-side enumeration otherwise, and keeps the rows that are facets
+of the coverage polytope, read off one max flow per row (Edmonds,
+"Submodular functions, matroids and certain polyhedra", 1970; Krogdahl,
+Discrete Math. 1977).
 
 Each row of C is a Hall inequality of the audit graph, so one max flow
 decides whether p lifts to an allocation, builds that allocation and
@@ -26,7 +29,7 @@ nearby coverage vectors on copies and read min cuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,13 +41,12 @@ NAIVE_RESOURCE_CAP = 22
 DEFAULT_SUBGRAPH_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CoverageConstraint:
     """sum of p over ``target_indices``  <=  ``bound`` resources."""
 
     target_indices: tuple  # sorted target indices
     bound: int
-    source: str  # "naive:L..." or "merged:V..."
 
     def coeff_row(self, n: int) -> np.ndarray:
         row = np.zeros(n)
@@ -59,17 +61,13 @@ class ConstraintSet:
     n_targets: int
     constraints: tuple
     pinned: tuple = ()  # unauditable targets
-    # the side coverage_set took: "subgraphs" or "resource_subsets"
+    # the side it was extracted from: "subgraphs" or "resource_subsets"
     extraction: str | None = None
 
     def lp_rows(self) -> list:
-        rows = [(c.coeff_row(self.n_targets), "<=", float(c.bound))
-                for c in self.constraints]
-        for i in self.pinned:
-            row = np.zeros(self.n_targets)
-            row[i] = 1.0
-            rows.append((row, "<=", 0.0))
-        return rows
+        pinned = tuple(CoverageConstraint((i,), 0) for i in self.pinned)
+        return [(c.coeff_row(self.n_targets), "<=", float(c.bound))
+                for c in (*self.constraints, *pinned)]
 
 
 @dataclass(frozen=True)
@@ -92,14 +90,10 @@ class IntersectionGraph:
     def n_nodes(self) -> int:
         return len(self.adjacency)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 def extract_constraints_naive(
     game: AuditGame,
     resource_cap: int = NAIVE_RESOURCE_CAP,
-    prune: bool = False,
 ) -> ConstraintSet:
     """All constraints c_{M,L} over the 2^k resource subsets, deduplicated."""
     k = game.n_resources
@@ -108,7 +102,7 @@ def extract_constraints_naive(
             f"naive extraction over 2^{k} subsets exceeds cap 2^{resource_cap}")
     fmap = audit_sets(game)
     masks = [sum(1 << j for j in fmap[i]) for i in range(game.n_targets)]
-    seen = {}
+    rows = set()
     for lmask in range(1 << k):
         m_targets = [
             i for i in range(game.n_targets)
@@ -116,19 +110,13 @@ def extract_constraints_naive(
         ]
         size_l = bin(lmask).count("1")
         if size_l < len(m_targets):
-            key = (tuple(m_targets), size_l)
-            if key not in seen:
-                seen[key] = CoverageConstraint(
-                    target_indices=tuple(m_targets),
-                    bound=size_l,
-                    source=f"naive:{lmask:b}",
-                )
-    cset = ConstraintSet(
+            rows.add(CoverageConstraint(tuple(m_targets), size_l))
+    return ConstraintSet(
         n_targets=game.n_targets,
-        constraints=tuple(seen[k] for k in sorted(seen)),
+        constraints=tuple(sorted(rows)),
         pinned=tuple(i for i in range(game.n_targets) if game.unauditable[i]),
+        extraction="resource_subsets",
     )
-    return prune_implied(cset) if prune else cset
 
 
 def merge_targets(game: AuditGame) -> MergedTargets:
@@ -203,38 +191,32 @@ def enumerate_connected_subgraphs(graph, cap: int = DEFAULT_SUBGRAPH_CAP):
 def constraint_find(
     game: AuditGame,
     cap: int = DEFAULT_SUBGRAPH_CAP,
-    prune: bool = False,
 ) -> ConstraintSet:
     """Target-side extraction via connected induced subgraphs.
 
     For a connected class subset V the constraint sums the member
     probabilities of V against the number of distinct resources that can
     audit V; it is kept only when the member count exceeds that bound.
+    The classes partition the targets, so no two subsets give one row.
     """
     merged = merge_targets(game)
     graph = build_intersection_graph(merged)
-    seen = {}
+    rows = []
     for subset in enumerate_connected_subgraphs(graph, cap):
         members = []
         resources = set()
         for v in subset:
             members.extend(merged.members[v])
             resources |= merged.audit_signatures[v]
-        bound = len(resources)
-        if len(members) > bound:
-            key = (tuple(sorted(members)), bound)
-            if key not in seen:
-                seen[key] = CoverageConstraint(
-                    target_indices=key[0],
-                    bound=bound,
-                    source="merged:" + ",".join(map(str, sorted(subset))),
-                )
-    cset = ConstraintSet(
+        if len(members) > len(resources):
+            rows.append(CoverageConstraint(tuple(sorted(members)),
+                                           len(resources)))
+    return ConstraintSet(
         n_targets=game.n_targets,
-        constraints=tuple(seen[k] for k in sorted(seen)),
+        constraints=tuple(sorted(rows)),
         pinned=tuple(i for i in range(game.n_targets) if game.unauditable[i]),
+        extraction="subgraphs",
     )
-    return prune_implied(cset) if prune else cset
 
 
 def coverage_set(game: AuditGame,
@@ -249,30 +231,49 @@ def coverage_set(game: AuditGame,
     exceed ``cap``.  ``extraction`` on the result names the side used.
     """
     k = game.n_resources
-    if 2 ** k < cap:
-        try:
-            cset = constraint_find(game, cap=2 ** k, prune=True)
-        except EnumerationCapExceeded:
-            # resource_cap=k: the cap above already bounds the 2^k subsets
-            cset = extract_constraints_naive(game, resource_cap=k, prune=True)
-            return replace(cset, extraction="resource_subsets")
-    else:
-        cset = constraint_find(game, cap=cap, prune=True)
-    return replace(cset, extraction="subgraphs")
+    if 2 ** k >= cap:
+        return prune_implied(constraint_find(game, cap=cap), game)
+    try:
+        cset = constraint_find(game, cap=2 ** k)
+    except EnumerationCapExceeded:
+        # resource_cap=k: the cap above already bounds the 2^k subsets
+        cset = extract_constraints_naive(game, resource_cap=k)
+    return prune_implied(cset, game)
 
 
-def prune_implied(cset: ConstraintSet) -> ConstraintSet:
-    """Drop constraints already implied by the rest of the set (LP test)."""
-    kept = list(cset.constraints)
-    i = 0
-    while i < len(kept):
-        rows = replace(cset, constraints=kept[:i] + kept[i + 1:]).lp_rows()
-        target = (kept[i].coeff_row(cset.n_targets), "<=", float(kept[i].bound))
-        if implies(rows, target, cset.n_targets):
-            kept.pop(i)
-        else:
-            i += 1
+def prune_implied(cset: ConstraintSet, game: AuditGame) -> ConstraintSet:
+    """The rows of ``cset`` that are facets of the coverage polytope, in
+    order: as both extractors' rows hold every facet, the rows that no
+    other row, pinned row or box row implies.  The polytope is the
+    independence polytope of the audit graph's transversal matroid, so a
+    Hall row x(S) <= b is a facet iff S is closed and inseparable and b is
+    the rank of S (Edmonds 1970; Krogdahl 1977): no auditable target
+    outside S is audited only inside N(S), S is connected through shared
+    resources, and a max flow with capacity 1 on each target of S routes
+    b and leaves all of S on the min cut's source side."""
+    fmap = audit_sets(game)
+    empty = CoverageNetwork(game)
+    kept = []
+    for row in cset.constraints:
+        members = set(row.target_indices)
+        reach = frozenset().union(*(fmap[i] for i in members))
+        closed = not any(fmap[i] and fmap[i] <= reach and i not in members
+                         for i in range(game.n_targets))
+        net = empty.copy()
+        if (closed and net.route(dict.fromkeys(members, 1.0)) == members
+                and sum(net.routed) == row.bound
+                and _connected(row.target_indices, fmap)):
+            kept.append(row)
     return replace(cset, constraints=tuple(kept))
+
+
+def _connected(targets, fmap) -> bool:
+    """Whether the targets are connected through shared resources."""
+    reach, rest = fmap[targets[0]], set(targets[1:])
+    while joined := {i for i in rest if fmap[i] & reach}:
+        rest -= joined
+        reach = reach.union(*(fmap[i] for i in joined))
+    return not rest
 
 
 def polytopes_equivalent(a: ConstraintSet, b: ConstraintSet, n: int) -> bool:
@@ -298,16 +299,7 @@ class TractabilityReport:
         return self.condition_small_graph or self.condition_bounded_degree
 
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "max_degree": self.max_degree,
-            "high_degree_nodes": self.high_degree_nodes,
-            "subgraph_bound": self.subgraph_bound,
-            "log2_bound": self.log2_bound,
-            "condition_small_graph": self.condition_small_graph,
-            "condition_bounded_degree": self.condition_bounded_degree,
-            "tractable": self.tractable,
-        }
+        return {**asdict(self), "tractable": self.tractable}
 
 
 def tractability_check(
@@ -324,7 +316,7 @@ def tractability_check(
     ``2**((2(d+1))**(t+1)) * N**((d+1)**(t+1))`` with N the node count.
     """
     nn = graph.n_nodes
-    degrees = [graph.degree(v) for v in range(nn)]
+    degrees = [len(nbrs) for nbrs in graph.adjacency]
     d = max(degrees, default=0)
     t = sum(1 for deg in degrees if deg >= 3)
     if nn == 0:

@@ -49,6 +49,8 @@ class SolveConfig:
             raise ValueError("epsilon must be in (0, 0.5]")
         if not 1 <= self.root_bits <= 52:
             raise ValueError("root bits must be in 1..52")
+        if self.enumeration_cap < 1:
+            raise ValueError("enumeration cap must be at least 1")
         if self.formulation not in ("grid", "transformed", "auto"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 

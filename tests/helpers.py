@@ -53,6 +53,36 @@ def explosion_game(k):
     return validate_game(n, k, utilities, restrictions, cost_a=0.01)
 
 
+def nested_game(k, seed=0):
+    """The nested family: 2k targets with random payoffs; resource i
+    (0-based) audits targets 0 .. 2i + 1, so C has super-polynomially
+    many raw rows."""
+    n = 2 * k
+    restrictions = [(j, t) for j in range(k) for t in range(2 * j + 2, n)]
+    return validate_game(n, k, rand_game(n, k, seed=seed).utilities,
+                         restrictions, cost_a=0.01)
+
+
+def prune_by_lp(cset):
+    """The rows of ``cset`` that the rest of it does not imply, in order:
+    one LP implication test per row over the rows still kept, pinned rows
+    and the box.  The oracle ``constraints.prune_implied`` is checked
+    against."""
+    from dataclasses import replace
+    from auditgames.lp import implies
+    kept = list(cset.constraints)
+    i = 0
+    while i < len(kept):
+        rows = replace(cset, constraints=kept[:i] + kept[i + 1:]).lp_rows()
+        target = (kept[i].coeff_row(cset.n_targets), "<=",
+                  float(kept[i].bound))
+        if implies(rows, target, cset.n_targets):
+            kept.pop(i)
+        else:
+            i += 1
+    return replace(cset, constraints=tuple(kept))
+
+
 def grouped_game(n, k, group_size, seed=0):
     from auditgames.cli import BenchConfig, generate_instance
     return generate_instance(BenchConfig(n, k, group_size, seed=seed))

@@ -158,6 +158,22 @@ def test_cli_rejects_bad_solve_options(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, option
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_rejects_enumeration_caps_below_one(tmp_path, capsys, cap):
+    game_path = tmp_path / "g.json"
+    run(["generate", "--targets", "4", "--resources", "2", "--group", "1",
+         "--out", str(game_path)])
+    capsys.readouterr()
+    for command in (["solve", "--method", "fpt"],
+                    ["solve", "--method", "fptas"],
+                    ["constraints"]):
+        assert run(command + ["--in", str(game_path), "--cap", cap, "--out",
+                              str(tmp_path / "r.json")]) == 1, command
+        assert "enumeration cap must be at least 1" in \
+            capsys.readouterr().err, command
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_decompose_closes_loop(tmp_path):
     game_path = tmp_path / "g.json"
     run(["generate", "--targets", "8", "--resources", "4", "--group", "2",

@@ -30,6 +30,8 @@ from helpers import (
     explosion_game,
     grouped_game,
     in_coverage_set,
+    nested_game,
+    prune_by_lp,
     rand_game,
 )
 
@@ -59,12 +61,51 @@ def test_naive_explosion_counted_subfamily():
 
 
 def test_naive_disjoint_groups():
-    cs = extract_constraints_naive(disjoint_groups_game())
+    g = disjoint_groups_game()
+    cs = extract_constraints_naive(g)
     got = sorted((c.target_indices, c.bound) for c in cs.constraints)
     assert got == [((0, 1), 1), ((0, 1, 2, 3), 2), ((2, 3), 1)]
-    pruned = prune_implied(cs)
+    pruned = prune_implied(cs, g)
     assert sorted((c.target_indices, c.bound) for c in pruned.constraints) == \
         [((0, 1), 1), ((2, 3), 1)]
+
+
+def _prune_oracle_games():
+    """Random games (some with pinned targets), the explosion family, the
+    nested family and a grouped game."""
+    games = []
+    for seed in range(80):
+        n = 2 + seed % 8
+        k = 1 + seed % min(5, n - 1)
+        games.append(rand_game(n, k, density=0.1 + 0.1 * (seed % 9),
+                               seed=700 + seed))
+    games += [explosion_game(4), explosion_game(6)]
+    games += [nested_game(k) for k in range(4, 9)]
+    games.append(grouped_game(20, 10, 5, seed=0))
+    return games
+
+
+def test_facet_prune_keeps_the_lp_prune_rows_in_order():
+    games = _prune_oracle_games()
+    assert sum(any(g.unauditable) for g in games) >= 10
+    raw_rows = dropped = 0
+    for index, g in enumerate(games):
+        for raw in (constraint_find(g), extract_constraints_naive(g)):
+            got = prune_implied(raw, g)
+            assert got == prune_by_lp(raw), (index, raw.extraction)
+            raw_rows += len(raw.constraints)
+            dropped += len(raw.constraints) - len(got.constraints)
+    assert dropped > 0 and dropped < raw_rows
+
+
+def test_nested_family_prunes_to_one_row_per_resource():
+    k = 12
+    g = nested_game(k)
+    assert len(constraint_find(g).constraints) == 2223
+    # 1-based, row m is t_{2m-1} .. t_{2k} against resources m .. k
+    assert [(c.target_indices, c.bound)
+            for c in coverage_set(g).constraints] == [
+        (tuple(range(2 * m - 2, 2 * k)), k - m + 1) for m in range(1, k + 1)]
 
 
 def test_naive_resource_cap():
@@ -183,7 +224,7 @@ def test_coverage_set_matches_constraint_find():
         got = coverage_set(g)
         sides.add(got.extraction)
         assert polytopes_equivalent(
-            got, constraint_find(g, prune=True), n), f"seed {seed}"
+            got, prune_implied(constraint_find(g), g), n), f"seed {seed}"
     assert sides == {"subgraphs", "resource_subsets"}
 
 
@@ -196,7 +237,8 @@ def test_coverage_set_picks_the_smaller_side():
     for cap in (2 ** 3 + 1, count, count + 1):
         got = coverage_set(g, cap)
         assert got.extraction == "resource_subsets"
-        assert polytopes_equivalent(got, constraint_find(g, prune=True), 12)
+        assert polytopes_equivalent(
+            got, prune_implied(constraint_find(g), g), 12)
     # at a cap of at most 2^k only the subgraphs are walked, and they pass it
     with pytest.raises(EnumerationCapExceeded):
         coverage_set(g, 2 ** 3)

@@ -22,7 +22,7 @@ from auditgames.fpt import (
 from auditgames.lp import LinearProgram, solve_lp
 from auditgames.model import compute_deltas, validate_game
 
-from helpers import dense_restriction_game, rand_game
+from helpers import dense_restriction_game, nested_game, rand_game
 
 
 def test_grid_endpoints():
@@ -37,6 +37,10 @@ def test_config_validation():
         SolveConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolveConfig(formulation="simplex")
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="enumeration cap"):
+            SolveConfig(enumeration_cap=cap)
+    assert SolveConfig(enumeration_cap=1).enumeration_cap == 1
 
 
 def full_grid_program(g, star, x):
@@ -98,6 +102,16 @@ def test_formulations_agree_per_pair():
         rep = compare_formulations(g, SolveConfig(epsilon=0.125))
         assert rep["objective_max_diff"] <= 1e-6
         assert rep["feasibility_mismatches"] == []
+
+
+def test_nested_family_matches_the_grid_formulation():
+    # seed 2: the optimum lies inside the grid, at x = 0.4
+    g = nested_game(12, seed=2)
+    a = solve_fpt(g, SolveConfig(epsilon=0.1))
+    b = solve_fpt(g, SolveConfig(epsilon=0.1, formulation="grid"))
+    assert a.formulation == "transformed"
+    assert a.objective == pytest.approx(b.objective, abs=1e-6)
+    assert (a.x, a.star) == (b.x, b.star)
 
 
 def test_solver_formulations_agree():
@@ -205,7 +219,7 @@ def test_closed_form_matches_lp_oracle():
     seen = {"unauditable": 0, "negative_coeff": 0, "fallback": 0,
             "infeasible": 0}
     for g in _oracle_games():
-        cache = _ProgramCache(g, cx.constraint_find(g, prune=True))
+        cache = _ProgramCache(g, cx.prune_implied(cx.constraint_find(g), g))
         seen["unauditable"] += any(g.unauditable)
         for star in range(g.n_targets):
             applies, feasible, p = cache.closed_form(star, grid)
@@ -246,7 +260,7 @@ def test_closed_form_matches_lp_oracle():
 
 def test_closed_form_blocks_agree(monkeypatch):
     g = rand_game(6, 2, density=0.2, seed=17)
-    cache = _ProgramCache(g, cx.constraint_find(g, prune=True))
+    cache = _ProgramCache(g, cx.prune_implied(cx.constraint_find(g), g))
     grid = x_grid(0.05)
     whole = [cache.closed_form(star, grid) for star in range(g.n_targets)]
     monkeypatch.setattr(fpt, "_CLOSED_FORM_BLOCK", 1)
