@@ -13,6 +13,7 @@ from . import constraints as cx
 from .alloc import bvn_decompose, recover_allocation
 from .errors import DivisibilityError, InternalError, UsageError, UserError
 from .fpt import (
+    VERIFY_TOL,
     SolveConfig,
     _ClosedFormPairs,
     _ProgramCache,
@@ -25,7 +26,9 @@ from .fptas import solve_fptas
 from .model import (
     AuditGame,
     DEFAULT_INPUT_BITS,
+    game_from_dict,
     game_to_dict,
+    is_real,
     load_game,
     validate_game,
 )
@@ -66,7 +69,7 @@ def generate_instance(cfg: BenchConfig,
     groups, each allowed to audit only its own block of targets.
     """
     n, k, gsize = cfg.n_targets, cfg.n_resources, cfg.group_size
-    if gsize < 1 or k % gsize:
+    if k < 1 or gsize < 1 or k % gsize:
         raise DivisibilityError(
             f"{k} resources do not split into groups of {gsize}")
     n_groups = k // gsize
@@ -259,11 +262,18 @@ def _cmd_decompose(args) -> int:
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read solution report: {exc}") from exc
-    if "game" not in report or "p" not in report:
+    if not isinstance(report, dict) or not {"game", "p"} <= set(report):
         raise UsageError("solution report must carry 'game' and 'p'")
-    from .model import game_from_dict
     game = game_from_dict(report["game"], lenient=True)
-    alloc = recover_allocation(game, np.asarray(report["p"], dtype=float))
+    p = report["p"]
+    size = len(p) if isinstance(p, list) else "no"
+    if size != game.n_targets:
+        raise UsageError(f"report's 'p' lists {size} coverages for "
+                         f"{game.n_targets} targets")
+    for i, v in enumerate(p):
+        if not (is_real(v) and -VERIFY_TOL <= v <= 1.0 + VERIFY_TOL):
+            raise UsageError(f"report's p[{i}] = {v!r} is not a coverage")
+    alloc = recover_allocation(game, np.asarray(p, dtype=float))
     mixture = bvn_decompose(alloc)
     out = {
         "weights": list(mixture.weights),

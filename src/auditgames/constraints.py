@@ -100,8 +100,7 @@ def extract_constraints_naive(
     if k > resource_cap:
         raise ResourceCapExceeded(
             f"naive extraction over 2^{k} subsets exceeds cap 2^{resource_cap}")
-    fmap = audit_sets(game)
-    masks = [sum(1 << j for j in fmap[i]) for i in range(game.n_targets)]
+    masks = [sum(1 << j for j in auditors) for auditors in game.auditors]
     rows = set()
     for lmask in range(1 << k):
         m_targets = [
@@ -122,15 +121,13 @@ def extract_constraints_naive(
 def merge_targets(game: AuditGame) -> MergedTargets:
     """Group auditable targets by audit-set signature (class order follows
     the smallest member index)."""
-    fmap = audit_sets(game)
     by_signature = {}
-    for i in range(game.n_targets):
-        if game.unauditable[i]:
-            continue
-        by_signature.setdefault(fmap[i], []).append(i)
+    for i, auditors in enumerate(game.auditors):
+        if auditors:
+            by_signature.setdefault(auditors, []).append(i)
     classes = sorted(by_signature.items(), key=lambda kv: kv[1][0])
     return MergedTargets(
-        audit_signatures=tuple(sig for sig, _ in classes),
+        audit_signatures=tuple(frozenset(sig) for sig, _ in classes),
         members=tuple(tuple(m) for _, m in classes),
         n_targets=game.n_targets,
     )
@@ -252,14 +249,13 @@ def prune_implied(cset: ConstraintSet, game: AuditGame) -> ConstraintSet:
     resources, and a max flow with capacity 1 on each target of S routes
     b and leaves all of S on the min cut's source side."""
     fmap = audit_sets(game)
-    empty = CoverageNetwork(game)
     kept = []
     for row in cset.constraints:
         members = set(row.target_indices)
         reach = frozenset().union(*(fmap[i] for i in members))
         closed = not any(fmap[i] and fmap[i] <= reach and i not in members
                          for i in range(game.n_targets))
-        net = empty.copy()
+        net = CoverageNetwork(game)
         if (closed and net.route(dict.fromkeys(members, 1.0)) == members
                 and sum(net.routed) == row.bound
                 and _connected(row.target_indices, fmap)):
@@ -337,28 +333,6 @@ def tractability_check(
     )
 
 
-def allowed_pairs(game: AuditGame) -> np.ndarray:
-    """k x n boolean matrix, False where resource j may not audit target i."""
-    allowed = np.ones((game.n_resources, game.n_targets), dtype=bool)
-    for j, i in game.restrictions:
-        allowed[j, i] = False
-    return allowed
-
-
-def allocation_matrix(game: AuditGame):
-    """Sparse (n + k) x k*n 0/1 matrix over the allocation entries
-    (resource-major): row i sums target i's coverage, row n + j sums
-    resource j's budget."""
-    from scipy import sparse
-
-    n, k = game.n_targets, game.n_resources
-    var = np.arange(n * k)
-    return sparse.csr_array(
-        (np.ones(2 * var.size),
-         (np.concatenate([var % n, n + var // n]), np.tile(var, 2))),
-        shape=(n + k, var.size))
-
-
 UNIT = 2.0 ** -45  # the flow's grid: capacities are floored to it
 
 
@@ -375,14 +349,11 @@ class CoverageNetwork:
     multiples of ``UNIT`` = 2^-45, so every flow, load and routed amount
     is such a multiple in [0, 1]; floats add and subtract those exactly,
     so the flow is exact and its min cut, read off the residual edges, is
-    exact too.  Copies share the game's edges.
+    exact too.  Copies share the edges, ``resources`` = ``game.auditors``.
     """
 
     def __init__(self, game: AuditGame):
-        self.resources = [[] for _ in range(game.n_targets)]
-        tgt, res = np.nonzero(allowed_pairs(game).T)
-        for i, j in zip(tgt.tolist(), res.tolist()):
-            self.resources[i].append(j)
+        self.resources = game.auditors
         self.on = [{} for _ in range(game.n_resources)]  # target -> flow
         self.load = [0.0] * game.n_resources
         self.routed = [0.0] * game.n_targets

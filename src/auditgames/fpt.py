@@ -106,9 +106,11 @@ class _ProgramCache:
     def __init__(self, game: AuditGame, cset=None):
         self.game = game
         self.deltas = compute_deltas(game)
-        self.allowed_idx = np.flatnonzero(cx.allowed_pairs(game))
-        # target of each grid variable
-        self.grid_target = self.allowed_idx % game.n_targets
+        n = game.n_targets
+        # resource and target of each grid variable
+        self.grid_resource, self.grid_target = np.divmod(np.sort(np.fromiter(
+            (j * n + i for i, auditors in enumerate(game.auditors)
+             for j in auditors), dtype=np.intp)), n)
         self._grid_star = None
         self._grid_rows = None
         if cset is not None:
@@ -133,10 +135,7 @@ class _ProgramCache:
             self.c_members[r, 1:1 + ranked.size] = ranked
 
     def transformed_bounds(self):
-        return [
-            (0.0, 0.0) if self.game.unauditable[i] else (0.0, 1.0)
-            for i in range(self.game.n_targets)
-        ]
+        return [(0.0, 1.0 if r else 0.0) for r in self.game.auditors]
 
     def br_rows_transformed(self, star: int, x: float):
         n = self.game.n_targets
@@ -159,7 +158,6 @@ class _ProgramCache:
             return self._grid_rows
         game, d = self.game, self.deltas
         n, k = game.n_targets, game.n_resources
-        static = cx.allocation_matrix(game)[:, self.allowed_idx].tocoo()
         target = self.grid_target
         var = np.arange(target.size)
         others = np.delete(np.arange(n), star)
@@ -167,13 +165,14 @@ class _ProgramCache:
         br_row[others] = n + k + np.arange(n - 1)
         star_vars, rest = var[target == star], var[target != star]
         n_star = (n - 1) * star_vars.size
-        rows = np.concatenate([static.row, np.repeat(br_row[others],
-                                                     star_vars.size),
+        rows = np.concatenate([target, n + self.grid_resource,
+                               np.repeat(br_row[others], star_vars.size),
                                br_row[target[rest]]])
-        cols = np.concatenate([static.col, np.tile(star_vars, n - 1), rest])
-        base = np.concatenate([static.data, np.full(n_star, d.delta[star]),
+        cols = np.concatenate([var, var, np.tile(star_vars, n - 1), rest])
+        base = np.concatenate([np.ones(2 * var.size),
+                               np.full(n_star, d.delta[star]),
                                -d.delta[target[rest]]])
-        xcoef = np.concatenate([np.zeros(static.nnz), np.ones(n_star),
+        xcoef = np.concatenate([np.zeros(2 * var.size), np.ones(n_star),
                                 -np.ones(rest.size)])
         rhs = np.concatenate([np.ones(n + k), -d.delta_pair[others, star]])
         self._grid_star = star
@@ -193,7 +192,7 @@ class _ProgramCache:
         from scipy import sparse
 
         rows, cols, base, xcoef, rhs = self.grid_rows(star)
-        nv = self.allowed_idx.size
+        nv = self.grid_target.size
         mat = sparse.csr_array((base + x * xcoef, (rows, cols)),
                                shape=(rhs.size, nv))
         obj = np.where(self.grid_target == star, p_star_coeff, 0.0)

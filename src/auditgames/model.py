@@ -6,13 +6,19 @@ by the restriction set ``R`` (pairs ``(j, i)`` meaning resource ``j``
 cannot audit target ``i``).  The defender additionally chooses a
 punishment rate ``x`` in ``[0, 1]`` whose cost enters the objective as
 ``-a*x`` and, optionally, ``-a1*x`` scaled by the covered probability.
+
+The audit graph, each target's ascending tuple of allowed resources
+(``AuditGame.auditors``), is derived from ``R`` once, by
+:func:`validate_game`; no other module reads ``R``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -43,7 +49,8 @@ class AuditGame:
     cost_a1: float = 0.0
     per_target_costs: tuple | None = None
     input_bits: int = DEFAULT_INPUT_BITS
-    unauditable: tuple = ()  # per-target flag: every resource restricted
+    auditors: tuple = ()  # per target: ascending tuple of allowed resources
+    unauditable: tuple = ()  # per-target flag: no allowed resource
     order_warnings: tuple = ()  # violations accepted under lenient validation
 
     @property
@@ -66,6 +73,12 @@ class DeltaTable:
     delta_d: np.ndarray
     delta: np.ndarray
     delta_pair: np.ndarray
+
+
+def is_real(v, kind=numbers.Real) -> bool:
+    """Whether ``v`` is a number of ``kind``; bools are not numbers."""
+    return (type(v) is int or type(v) is float and kind is numbers.Real
+            or isinstance(v, kind) and not isinstance(v, bool))
 
 
 def _check_utilities(utilities, input_bits, lenient):
@@ -129,7 +142,7 @@ def validate_game(
         violations.append(Violation(
             "IndexOutOfRange",
             f"{len(utilities)} utility rows for {n_targets} targets"))
-    if not (isinstance(input_bits, int) and 1 <= input_bits <= 52):
+    if not (is_real(input_bits, numbers.Integral) and 1 <= input_bits <= 52):
         violations.append(Violation(
             "PrecisionOverflow", f"input_bits {input_bits!r} not an int in [1, 52]"))
         input_bits = DEFAULT_INPUT_BITS
@@ -137,14 +150,24 @@ def validate_game(
     util_violations, warnings = _check_utilities(utilities, input_bits, lenient)
     violations.extend(util_violations)
 
-    restriction_set = set()
+    restricted = set()
     for pair in restrictions:
-        j, i = pair
+        try:
+            j, i = pair
+        except (TypeError, ValueError):
+            j = i = None
+        if type(j) is not int or type(i) is not int:
+            if not (is_real(j, numbers.Integral)
+                    and is_real(i, numbers.Integral)):
+                violations.append(Violation(
+                    "MalformedInput", f"restriction {pair!r} is not two indices"))
+                continue
+            j, i = int(j), int(i)
         if not (0 <= j < n_resources and 0 <= i < n_targets):
             violations.append(Violation(
                 "IndexOutOfRange", f"restriction ({j}, {i}) out of range"))
         else:
-            restriction_set.add((int(j), int(i)))
+            restricted.add((j, i))
 
     if per_target_costs is not None:
         if len(per_target_costs) != n_targets:
@@ -161,23 +184,24 @@ def validate_game(
     if violations:
         raise GameValidationError(violations)
 
-    # A target barred from every resource is legal but flagged; its coverage
-    # probability is pinned to 0 by every solver.
-    unauditable = tuple(
-        all((j, i) in restriction_set for j in range(n_resources))
-        for i in range(n_targets)
-    )
+    # The audit graph.  A target barred from every resource is legal but
+    # flagged; its coverage probability is pinned to 0 by every solver.
+    allowed = [[True] * n_resources for _ in range(n_targets)]
+    for j, i in restricted:
+        allowed[i][j] = False
+    auditors = tuple(tuple(compress(range(n_resources), row)) for row in allowed)
     return AuditGame(
         n_targets=n_targets,
         n_resources=n_resources,
         utilities=tuple(tuple(float(v) for v in quad) for quad in utilities),
-        restrictions=frozenset(restriction_set),
+        restrictions=frozenset(restricted),
         cost_a=float(cost_a),
         cost_a1=float(cost_a1),
         per_target_costs=None if per_target_costs is None
         else tuple(float(c) for c in per_target_costs),
         input_bits=input_bits,
-        unauditable=unauditable,
+        auditors=auditors,
+        unauditable=tuple(not r for r in auditors),
         order_warnings=tuple(warnings),
     )
 
@@ -195,12 +219,7 @@ def compute_deltas(game: AuditGame) -> DeltaTable:
 def audit_sets(game: AuditGame) -> tuple:
     """F(t_i) per target i: the frozenset of resources not excluded from
     target i by the restrictions."""
-    sets = []
-    for i in range(game.n_targets):
-        sets.append(frozenset(
-            j for j in range(game.n_resources) if (j, i) not in game.restrictions
-        ))
-    return tuple(sets)
+    return tuple(map(frozenset, game.auditors))
 
 
 # --- instance files -------------------------------------------------------
@@ -218,9 +237,10 @@ def game_from_dict(data: dict, lenient: bool = False) -> AuditGame:
     for key in ("targets", "resources", "a"):
         if key not in data:
             raise UsageError(f"instance missing required key {key!r}")
+    for key in ("targets", "restrictions", "a_vec"):
+        if not isinstance(data.get(key, []), list):
+            raise UsageError(f"{key!r} must be an array")
     targets = data["targets"]
-    if not isinstance(targets, list):
-        raise UsageError("'targets' must be an array")
     utilities = []
     for i, entry in enumerate(targets):
         if not isinstance(entry, dict):
@@ -232,6 +252,11 @@ def game_from_dict(data: dict, lenient: bool = False) -> AuditGame:
         if missing:
             raise UsageError(f"target {i}: missing keys {sorted(missing)}")
         utilities.append((entry["ud_a"], entry["ud_u"], entry["ua_a"], entry["ua_u"]))
+    if not is_real(data["resources"], numbers.Integral):
+        raise UsageError("'resources' must be an integer")
+    costs = [data["a"], data.get("a1", 0.0), *(data.get("a_vec") or ())]
+    if not all(map(is_real, chain(costs, *utilities))):
+        raise UsageError("utilities and costs must be numbers")
     return validate_game(
         n_targets=len(targets),
         n_resources=data["resources"],

@@ -127,7 +127,7 @@ _newton_minimize = _decompose
 
 
 def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
-                     tally: Counter | None = None, *, net=None):
+                     tally: Counter | None = None):
     """Optimal punishments and coverages at fixed attacked-target coverage.
 
     Maximizes ``p_star * D_D(star) - sum(c_i x_i)`` with the attacked
@@ -138,10 +138,6 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     be met even at full coverage and punishment, or when the least
     coverages l do not route with p_star, naming the (attacked target,
     coverage) pair and the min cut's target set.
-
-    ``net``, an empty :class:`constraints.CoverageNetwork` of the game,
-    which is copied, not changed, lets a caller that solves many pairs
-    build it once; it is built here when not given.
     """
     tally = Counter() if tally is None else tally
     d = compute_deltas(game)
@@ -161,7 +157,7 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
     p[star] = p_star
     x = np.zeros(game.n_targets)
     costs = np.asarray(game.target_costs, dtype=float)
-    net = cx.CoverageNetwork(game) if net is None else net.copy()
+    net = cx.CoverageNetwork(game)
     tally["flows"] += 1
     if net.route({star: p_star}):
         raise Infeasible(f"{pair}: attacked-target coverage violates "
@@ -176,7 +172,7 @@ def solve_socp_fixed(game: AuditGame, star: int, p_star: float,
         cut = net.route(dict(zip(free.tolist(), lo.tolist())))
         if cut:
             need = {star: p_star, **dict(zip(free.tolist(), lo.tolist()))}
-            reach = set().union(*(net.resources[i] for i in cut))
+            reach = set().union(*(game.auditors[i] for i in cut))
             raise Infeasible(
                 f"{pair}: targets {sorted(cut)} need "
                 f"{sum(need[i] for i in cut):.4g} coverage on "
@@ -193,9 +189,8 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
     The attacked target's punishment is pinned at zero in every returned
     solution; remaining rates are chosen by the exact fixed-coverage
     subproblems, one :func:`solve_socp_fixed` per (attacked target, grid
-    coverage) pair, all on copies of one empty ``CoverageNetwork``.  The
-    grid step is ``cfg.epsilon`` (default 0.01 here);
-    ``cfg.enumeration_cap`` is ignored, as no C is enumerated.  The
+    coverage) pair.  The grid step is ``cfg.epsilon`` (default 0.01
+    here); ``cfg.enumeration_cap`` is ignored, as no C is enumerated.  The
     solution is checked, and its residuals reported, by
     :func:`fpt.verify_solution`, as fpt's and fptas' are.
 
@@ -211,7 +206,6 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
         cfg = SolveConfig(epsilon=DEFAULT_P_STEP)
     grid = x_grid(cfg.epsilon)[::-1]
     d = compute_deltas(game)
-    net = cx.CoverageNetwork(game)
     best = None
     solved = infeasible = pruned = 0
     tally = Counter()
@@ -226,8 +220,7 @@ def solve_px(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSolutio
                 pruned += 1
                 continue
             try:
-                p, x, raw = solve_socp_fixed(game, star, p_star, tally,
-                                             net=net)
+                p, x, raw = solve_socp_fixed(game, star, p_star, tally)
             except Infeasible:
                 infeasible += 1
                 continue

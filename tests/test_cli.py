@@ -59,6 +59,18 @@ def test_generate_divisibility_errors():
         generate_instance(BenchConfig(9, 4, 2))   # 2 groups cannot split 9
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--targets", "10", "--resources", "0", "--group", "1"],
+    ["bench", "--targets", "10", "--resources", "0", "--group", "1"],
+])
+def test_cli_rejects_zero_resources(tmp_path, capsys, command):
+    with pytest.raises(DivisibilityError):
+        generate_instance(BenchConfig(10, 0, 1))
+    assert run(command + ["--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bench_objective_agreement():
     rep = bench(BenchConfig(8, 4, 2, epsilon=0.25, seed=5, repetitions=2))
     assert rep["objective_max_diff"] <= 1e-6
@@ -190,6 +202,55 @@ def test_cli_decompose_closes_loop(tmp_path):
     err = np.abs(np.asarray(mix["column_marginals"])
                  - np.asarray(rep["p"])).max()
     assert err <= 1e-9
+
+
+def _error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("change", [
+    {"restrictions": [[0]]},
+    {"restrictions": 7},
+    {"restrictions": [[0.5, 1]]},
+    {"restrictions": [[False, 1]]},
+    {"resources": "1"},
+    {"resources": 1.0},
+    {"a_vec": 5},
+    {"a": "x"},
+    {"targets": [{"ud_a": "x", "ud_u": 0.1, "ua_a": 0.2, "ua_u": 0.3}] * 3},
+])
+def test_cli_rejects_malformed_instances(tmp_path, capsys, change):
+    data = game_to_dict(generate_instance(BenchConfig(3, 1, 1)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**data, **change}))
+    for command in (["solve"], ["constraints"]):
+        assert run(command + ["--in", str(path), "--out",
+                              str(tmp_path / "r.json")]) == 1, command
+        _error_line(capsys)
+
+
+def test_cli_decompose_checks_p_against_the_game(tmp_path, capsys):
+    game_path = tmp_path / "g.json"
+    run(["generate", "--targets", "4", "--resources", "2", "--group", "1",
+         "--out", str(game_path)])
+    rep_path = tmp_path / "rep.json"
+    assert run(["solve", "--in", str(game_path), "--method", "fpt",
+                "--epsilon", "0.1", "--out", str(rep_path)]) == 0
+    capsys.readouterr()
+    rep = json.loads(rep_path.read_text())
+    p = rep["p"]
+    for bad, needle in ((p[:1], "lists 1 coverages for 4 targets"),
+                        (p + [0.0], "lists 5 coverages for 4 targets"),
+                        (p[:3] + ["x"], "p[3] = 'x'"),
+                        (p[:3] + [1.5], "p[3] = 1.5")):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps({**rep, "p": bad}))
+        assert run(["decompose", "--in", str(bad_path), "--out",
+                    str(tmp_path / "mix.json")]) == 1, bad
+        assert needle in _error_line(capsys), bad
+    assert not (tmp_path / "mix.json").exists()
 
 
 def test_cli_constraints_report(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from auditgames.constraints import CoverageNetwork
 from auditgames.errors import GameValidationError, UsageError
 from auditgames.model import (
     audit_sets,
@@ -141,6 +142,14 @@ def test_audit_sets_restriction_involution():
             (j, i) for i in range(g.n_targets)
             for j in range(g.n_resources) if j not in fmap[i]
         ) == g.restrictions
+        # the one audit graph, against a brute force from the restrictions
+        brute = tuple(
+            tuple(j for j in range(g.n_resources)
+                  if (j, i) not in g.restrictions)
+            for i in range(g.n_targets))
+        assert g.unauditable == tuple(not r for r in brute)
+        assert fmap == tuple(map(frozenset, brute))
+        assert CoverageNetwork(g).resources == brute
 
 
 def test_validation_matches_perturbation():

@@ -1,5 +1,6 @@
 """Every function, class and method in the package is named somewhere in
-the package or the benchmark besides its definition, not only in tests."""
+the package or the benchmark besides its definition, not only in tests;
+and only the model reads a game's restriction set."""
 
 import ast
 import re
@@ -32,3 +33,12 @@ def test_no_definition_is_named_only_in_tests():
     unused = {name for name, count in defined.items()
               if words[name] <= count and not name.startswith("__")}
     assert unused == TEST_ORACLES
+
+
+def test_only_the_model_reads_restrictions():
+    # every other module reads the audit graph the model derives from them
+    readers = {
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "restrictions"}
+    assert readers == {"model.py"}
