@@ -15,7 +15,6 @@ from .errors import DivisibilityError, InternalError, UsageError, UserError
 from .fpt import (
     VERIFY_TOL,
     SolveConfig,
-    _ClosedFormPairs,
     _ProgramCache,
     compare_formulations,
     full_objective,
@@ -153,23 +152,20 @@ def counterexample_game() -> AuditGame:
 def counterexample_curve(step: float = 0.005, star: int = COUNTEREXAMPLE_STAR):
     """Objective-versus-punishment curve for the published instance.
 
-    Solves the fixed-best-response program at every grid point with the
-    sweep's transformed pair solver and reports the strict interior local
-    maxima of the curve.
+    Solves the fixed-best-response program at every grid point in closed
+    form, as the transformed sweep does, and reports the strict interior
+    local maxima of the curve.
     Returns (curve points, peaks, game).
     """
     if not 0.0 < step <= 0.005 + 1e-15:
         raise UsageError(f"step must be in (0, 0.005], got {step!r}")
     game = counterexample_game()
-    pairs = _ClosedFormPairs(_ProgramCache(game, cx.coverage_set(game)),
-                             "transformed")
     xs = x_grid(step)
-    solve = pairs.for_star(star, xs)
-    points = []
-    for i, x in enumerate(xs):
-        p = solve(i)
-        points.append(CurvePoint(x, None if p is None else full_objective(
-            game, star, float(p[star]), x)))
+    feasible, p = _ProgramCache(game, cx.coverage_set(game)).closed_form(
+        star, xs)
+    points = [CurvePoint(x, full_objective(game, star, float(q[star]), x)
+                         if ok else None)
+              for x, ok, q in zip(xs, feasible, p)]
     peaks = []
     for i in range(1, len(points) - 1):
         a, b, c = points[i - 1].best_objective, points[i].best_objective, \
@@ -213,17 +209,21 @@ def _solution_report(game: AuditGame, sol) -> dict:
     return report
 
 
+def _solve_config(**kwargs) -> SolveConfig:
+    try:
+        return SolveConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_solve(args) -> int:
     if not args.infile:
         raise UsageError("solve requires --in PATH")
     game = load_game(args.infile, lenient=args.lenient)
     epsilon = args.epsilon if args.epsilon is not None else (
         0.01 if args.method == "tsp" else 0.005)
-    try:
-        cfg = SolveConfig(epsilon=epsilon, formulation=args.form,
-                          enumeration_cap=args.cap, root_bits=args.root_bits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _solve_config(epsilon=epsilon, formulation=args.form,
+                        enumeration_cap=args.cap, root_bits=args.root_bits)
     if args.method == "fpt":
         sol = solve_fpt(game, cfg)
     elif args.method == "fptas":
@@ -292,7 +292,8 @@ def _cmd_bench(args) -> int:
         5 if args.paper_scale else 1)
     cfg = BenchConfig(args.targets, args.resources, args.group,
                       epsilon=epsilon, seed=args.seed, repetitions=reps)
-    report = bench(cfg, include_extraction=args.include_extraction)
+    report = bench(cfg, _solve_config(epsilon=epsilon),
+                   include_extraction=args.include_extraction)
     _emit(report, args.out)
     return 0
 
@@ -423,3 +424,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,10 +5,9 @@ For a fixed punishment rate x each best-response program is a linear
 program, in either the allocation-variable ("grid") formulation or the
 coverage-variable ("transformed") formulation backed by the extracted
 constraint set.  The transformed programs are answered in closed form,
-one target at a time over the whole grid (``_ProgramCache.closed_form``);
-pairs outside the closed form's reach (lenient instances with
-``x + delta <= 0``) and every grid program go to the HiGHS LP, over
-sparse rows for the grid, which also stays the test oracle.  The returned
+one target at a time over the whole grid and for either sign of
+``x + delta`` (``_ProgramCache.closed_form``); the grid programs go to the
+HiGHS LP over sparse rows, which also stays the test oracle.  The returned
 solution is the best over every target and every grid value; the
 objective is the full defender utility including the constant term of the
 assumed attacked target.
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,6 @@ class SolveConfig:
     formulation: str = "auto"  # grid | transformed | auto
     enumeration_cap: int = cx.DEFAULT_SUBGRAPH_CAP  # tsp ignores it
     root_bits: int = 20
-    screen: bool = True  # cheap per-(star, x) infeasibility pre-check
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
@@ -87,12 +86,16 @@ def full_objective(game: AuditGame, star: int, p_star: float,
 
 def infeasibility_screen(game: AuditGame, star: int, xs) -> np.ndarray:
     """True at each x in ``xs`` where the program is provably infeasible:
-    some other target pays the attacker more when fully covered than star
-    ever can."""
+    some other target pays the attacker more at every coverage than star
+    pays at any.  Over coverage p in [0, 1] target i pays
+    ua_u - p (x + delta_i), which lies between ua_u and ua_a - x; an
+    unauditable target pays ua_u."""
     u = np.asarray(game.utilities)
-    others = np.delete(u[:, 2], star)
-    return (others.max(initial=-np.inf) - np.asarray(xs, dtype=float)
-            > u[star, 3] + 1e-9)
+    audited = np.where(game.unauditable, u[:, 3],
+                       u[:, 2] - np.asarray(xs, dtype=float)[:, None])
+    low = np.delete(np.minimum(u[:, 3], audited), star, axis=1)
+    high = np.maximum(u[star, 3], audited[:, star])
+    return low.max(axis=1, initial=-np.inf) > high + 1e-9
 
 
 class _ProgramCache:
@@ -134,21 +137,6 @@ class _ProgramCache:
             ranked = order[self.c_matrix[r, order] > 0]
             self.c_members[r, 1:1 + ranked.size] = ranked
 
-    def transformed_bounds(self):
-        return [(0.0, 1.0 if r else 0.0) for r in self.game.auditors]
-
-    def br_rows_transformed(self, star: int, x: float):
-        n = self.game.n_targets
-        d = self.deltas
-        others = [i for i in range(n) if i != star]
-        mat = np.zeros((len(others), n))
-        rhs = np.empty(len(others))
-        for r, i in enumerate(others):
-            mat[r, star] = x + d.delta[star]
-            mat[r, i] = -(x + d.delta[i])
-            rhs[r] = -d.delta_pair[i, star]
-        return mat, rhs
-
     def grid_rows(self, star: int):
         """COO pieces of target ``star``'s grid rows: coverage of each
         target <= 1, each resource's budget <= 1, then one best-response
@@ -182,13 +170,18 @@ class _ProgramCache:
     def build(self, star: int, x: float, formulation: str) -> LinearProgram:
         p_star_coeff = self.deltas.delta_d[star] - self.game.cost_a1 * x
         if formulation == "transformed":
-            mat, rhs = self.br_rows_transformed(star, x)
+            d, n = self.deltas, self.game.n_targets
+            others = np.delete(np.arange(n), star)
+            mat = np.zeros((n - 1, n))
+            mat[:, star] = x + d.delta[star]
+            mat[np.arange(n - 1), others] = -(x + d.delta[others])
             mat = np.vstack([mat, self.c_matrix])
-            rhs = np.concatenate([rhs, self.c_bound])
-            obj = np.zeros(self.game.n_targets)
+            rhs = np.concatenate([-d.delta_pair[others, star], self.c_bound])
+            obj = np.zeros(n)
             obj[star] = p_star_coeff
             return LinearProgram(obj, (mat, ["<="] * rhs.size, rhs),
-                                 self.transformed_bounds())
+                                 [(0.0, 1.0 if r else 0.0)
+                                  for r in self.game.auditors])
         from scipy import sparse
 
         rows, cols, base, xcoef, rhs = self.grid_rows(star)
@@ -202,19 +195,24 @@ class _ProgramCache:
     def closed_form(self, star: int, xs):
         """The transformed programs of target ``star`` at every x in ``xs``.
 
-        Returns (applies, feasible, p), one entry per x; ``applies`` is
-        False where the closed form does not reach, and the LP must decide
-        those pairs.  It reaches where s = x + delta[star] > 0 and
-        x + delta[i] > 0 for every auditable i != star.  There best-response
-        row i asks for p_i >= r_i(p_star) = max(0, (s p_star
-        + delta_pair[i, star]) / (x + delta[i])), and C is down-closed, so
-        p_star is feasible iff r(p_star) lies in C, the box, and the pinned
-        rows.  Each C row sum over r is convex, nondecreasing and piecewise
-        linear in p_star, so it is the max of its linear pieces; the pieces
-        are the prefixes of the row's targets in breakpoint order, and each
-        caps p_star at (bound - intercept) / slope.  The optimum takes the
-        largest feasible p_star when its objective coefficient is positive
-        and 0 otherwise, and returns p = r(p_star).
+        Returns (feasible, p), one entry per x.  Let s = x + delta[star].
+        Another target i is held at p_i = 0 when it is unauditable or
+        x + delta[i] <= 0: zero coverage is best for its own best-response
+        row, which becomes s p_star <= -delta_pair[i, star], and for C,
+        which is down-closed.  Every other target is free, and its row asks
+        for p_i >= r_i(p_star) = max(0, (s p_star + delta_pair[i, star])
+        / (x + delta[i])); by down-closure p_star is feasible iff r(p_star)
+        lies in C, the box and the held rows.  Each C row sum over r is
+        convex and piecewise linear in p_star, the max of its linear
+        pieces.  The pieces are the prefixes of the row's targets in
+        breakpoint order (descending delta_pair[:, star]), because the
+        targets with s p_star + delta_pair[i, star] > 0 form a top set of
+        that order for either sign of s.  So every condition is a row
+        a p_star <= c with a of either sign, and the feasible p_star form
+        one interval [lo, hi].  The optimum takes hi when its objective
+        coefficient is positive and lo otherwise; the pair is feasible iff
+        that point violates no row by more than the LP tolerance, and it
+        returns p = r(p_star).
         """
         xs = np.asarray(xs, dtype=float)
         step = max(1, _CLOSED_FORM_BLOCK // max(self.c_members.size, 1))
@@ -223,46 +221,40 @@ class _ProgramCache:
                      for lo in range(0, xs.size, step)]
             return tuple(np.concatenate(z) for z in zip(*parts))
         game, d = self.game, self.deltas
-        pinned = np.asarray(game.unauditable, dtype=bool)
         others = np.arange(game.n_targets) != star
-        free = others & ~pinned
         s = xs + d.delta[star]
         den = xs[:, None] + d.delta
-        applies = (s > 0) & np.all((den > 0) | ~free, axis=1)
-        s = s[applies, None]
-        den = np.where(free, den[applies], 1.0)
+        free = others & ~np.asarray(game.unauditable, dtype=bool) & (den > 0)
+        den = np.where(free, den, 1.0)
         dp = d.delta_pair[:, star]
-        slope = np.where(free, s / den, 0.0)  # r_i = max(0, slope p + icpt)
+        # r_i = max(0, slope p_star + icpt)
+        slope = np.where(free, s[:, None] / den, 0.0)
         icpt = np.where(free, dp / den, 0.0)
-        # r_i <= 1, and s p_star <= -delta_pair[i, star] for pinned i
-        caps = np.where(free, (den - dp) / s,
-                        np.where(pinned & others, -dp / s, np.inf))
-        top = np.minimum(0.0 if pinned[star] else 1.0, caps.min(axis=1))
-        zero = np.zeros((s.shape[0], 1))
+        # s p_star <= c: r_i <= 1 for free i, the rows of held i
+        c = np.where(free, den - dp, np.where(others, -dp, np.inf)).min(
+            axis=1)
+        zero = np.zeros((xs.size, 1))
         row_slope = (np.cumsum(np.hstack([slope, zero])[:, self.c_members],
                                axis=2) + self.c_matrix[:, star, None])
-        row_icpt = np.cumsum(np.hstack([icpt, zero])[:, self.c_members],
-                             axis=2)
-        with np.errstate(divide="ignore"):
-            row_caps = np.where(
-                row_slope > 0,
-                (self.c_bound[:, None] - row_icpt) / row_slope, np.inf)
-        p_max = np.minimum(top, row_caps.min(axis=(1, 2), initial=np.inf))
-        # feasible iff r(0) violates nothing by more than the LP tolerance
-        r0 = np.maximum(icpt, 0.0)
-        excess = np.maximum(
-            (r0 @ self.c_matrix.T - self.c_bound).max(axis=1, initial=0.0),
-            (r0 - 1.0).max(axis=1))
-        excess = np.maximum(excess, np.max(dp[pinned & others], initial=0.0))
-        coeff = d.delta_d[star] - game.cost_a1 * xs[applies]
-        p_star = np.where(coeff > 0, np.maximum(p_max, 0.0), 0.0)
+        row_c = self.c_bound[:, None] - np.cumsum(
+            np.hstack([icpt, zero])[:, self.c_members], axis=2)
+        top = 0.0 if game.unauditable[star] else 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cap, row_cap = c / s, row_c / row_slope
+            hi = np.minimum(np.minimum(np.where(s > 0, cap, top), top),
+                            np.where(row_slope > 0, row_cap, np.inf).min(
+                                axis=(1, 2), initial=np.inf))
+            lo = np.maximum(np.where(s < 0, cap, 0.0),
+                            np.where(row_slope < 0, row_cap, 0.0).max(
+                                axis=(1, 2), initial=0.0))
+        coeff = d.delta_d[star] - game.cost_a1 * xs
+        p_star = np.where(coeff > 0, np.maximum(hi, lo), lo)
+        excess = np.maximum(p_star - top, s * p_star - c)
+        excess = np.maximum(excess, (row_slope * p_star[:, None, None]
+                                     - row_c).max(axis=(1, 2), initial=0.0))
         p = np.clip(slope * p_star[:, None] + icpt, 0.0, 1.0)
         p[:, star] = p_star
-        feasible = np.zeros(xs.size, dtype=bool)
-        feasible[applies] = excess <= FEAS_TOL
-        full = np.zeros((xs.size, game.n_targets))
-        full[applies] = p
-        return applies, feasible, full
+        return excess <= FEAS_TOL, p
 
     def coverage_from_solution(self, formulation: str, solution: np.ndarray):
         if formulation == "transformed":
@@ -317,21 +309,17 @@ def verify_solution(game: AuditGame, star: int, p, x,
 
 
 class _LpPairs:
-    """Answers each (star, x) program with one LP in ``formulation``;
-    ``counts`` holds the sweep's pair counters."""
+    """Answers each (star, x) program with one LP in ``formulation``."""
 
     def __init__(self, cache: _ProgramCache, formulation: str):
         self.cache = cache
         self.formulation = formulation
-        self.counts = dict.fromkeys(("solved", "screened", "lp_infeasible",
-                                     "closed_form", "lp_fallback"), 0)
 
     def for_star(self, star: int, grid: list):
         """Solver for one target: grid index -> coverage, or None."""
-        return lambda i: self.solve_lp(star, grid[i])
+        return lambda i: self.solve(star, grid[i])
 
-    def solve_lp(self, star: int, x: float):
-        self.counts["lp_fallback"] += 1
+    def solve(self, star: int, x: float):
         out = solve_lp(self.cache.build(star, x, self.formulation))
         if out.status != "optimal":
             return None
@@ -339,30 +327,31 @@ class _LpPairs:
                                                  out.solution)
 
 
-class _ClosedFormPairs(_LpPairs):
+class _ClosedFormPairs:
     """Answers transformed programs in closed form, one target over the
-    whole grid at once; the LP takes the pairs the closed form does not
-    reach."""
+    whole grid at once."""
+
+    def __init__(self, cache: _ProgramCache):
+        self.cache = cache
 
     def for_star(self, star: int, grid: list):
-        applies, feasible, p = self.cache.closed_form(star, grid)
-
-        def solve(i):
-            if not applies[i]:
-                return self.solve_lp(star, grid[i])
-            self.counts["closed_form"] += 1
-            return p[i] if feasible[i] else None
-        return solve
+        feasible, p = self.cache.closed_form(star, grid)
+        return lambda i: p[i] if feasible[i] else None
 
 
-def _sweep(game: AuditGame, cfg: SolveConfig, grid: list, pairs: _LpPairs):
-    """Walk every (star, x) pair, each target from x = 1 downward.
+def _sweep(pairs, grid: list, counts: dict):
+    """Walk every (star, x) pair, each target from x = 1 downward, and
+    count them in ``counts``.
 
     Yields (star, x, p), with p None for screened, infeasible and cut
-    pairs.  Feasibility is monotone in the punishment rate, so with
-    screening on the first infeasible grid point settles all smaller ones.
+    pairs.  When every delta_i >= 0, feasibility is monotone in x: for
+    x' > x, scaling each p_i by (x + delta_i) / (x' + delta_i) <= 1 keeps
+    every attacker payoff ua_u - p_i (x + delta_i) fixed and stays in the
+    down-closed C, so a pair feasible at x stays feasible at x'.  There the
+    first infeasible grid point settles all smaller ones.
     """
-    counts = pairs.counts
+    game = pairs.cache.game
+    monotone = bool(np.all(pairs.cache.deltas.delta >= 0))
     for star in range(game.n_targets):
         solve = pairs.for_star(star, grid)
         screened = infeasibility_screen(game, star, grid)
@@ -372,13 +361,13 @@ def _sweep(game: AuditGame, cfg: SolveConfig, grid: list, pairs: _LpPairs):
             p = None
             if cut:
                 pass
-            elif cfg.screen and screened[i]:
+            elif screened[i]:
                 counts["screened"] += 1
             else:
                 p = solve(i)
                 if p is None:
                     counts["lp_infeasible"] += 1
-                    cut = cfg.screen
+                    cut = monotone
                 else:
                     counts["solved"] += 1
             yield star, x, p
@@ -389,8 +378,7 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
 
     Infeasible (target, x) pairs are expected and skipped; ties break
     toward smaller x, then smaller target index.  ``details`` counts the
-    pairs solved, screened and infeasible (``lp_infeasible``), and the
-    pairs answered in closed form and by an LP (``lp_fallback``); for a
+    pairs solved, screened and infeasible (``lp_infeasible``); for a
     transformed solve, ``extraction`` says whether C came from the
     connected subgraphs or the resource subsets.
     """
@@ -398,10 +386,11 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
     formulation, cset, info = resolve_formulation(game, cfg)
     cache = _ProgramCache(game, cset)
     grid = x_grid(cfg.epsilon)
-    pairs = (_ClosedFormPairs if formulation == "transformed"
-             else _LpPairs)(cache, formulation)
+    pairs = (_ClosedFormPairs(cache) if formulation == "transformed"
+             else _LpPairs(cache, formulation))
+    counts = dict.fromkeys(("solved", "screened", "lp_infeasible"), 0)
     best = None
-    for star, x, p in _sweep(game, cfg, grid, pairs):
+    for star, x, p in _sweep(pairs, grid, counts):
         if p is None:
             continue
         key = (full_objective(game, star, float(p[star]), x), -x, -star)
@@ -418,7 +407,7 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
         formulation=formulation, method="fpt",
         details={
             **info,
-            **pairs.counts,
+            **counts,
             "epsilon": cfg.epsilon,
             "grid_size": len(grid),
             "guarantee_condition_met": bool(
@@ -440,7 +429,7 @@ def per_pair_objectives(game: AuditGame, cfg: SolveConfig, formulation: str,
     return {
         (star, x): None if p is None
         else full_objective(game, star, float(p[star]), x)
-        for star, x, p in _sweep(game, cfg, x_grid(cfg.epsilon), pairs)
+        for star, x, p in _sweep(pairs, x_grid(cfg.epsilon), Counter())
     }
 
 

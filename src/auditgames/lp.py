@@ -77,6 +77,11 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     rels = np.asarray(rels, dtype=object)
     sign = np.where(rels == ">=", -1.0, 1.0)  # ">=" rows enter negated
     ub, eq = np.flatnonzero(rels != "="), np.flatnonzero(rels == "=")
+    if not lp.objective.size:  # HiGHS takes no columns: decide the rows at 0
+        if (np.all(rhs[ub] * sign[ub] >= -FEAS_TOL)
+                and np.all(np.abs(rhs[eq]) <= FEAS_TOL)):
+            return LpOutcome("optimal", np.zeros(0), 0.0, is_vertex=True)
+        return LpOutcome("infeasible")
     res = linprog(
         -lp.objective,
         A_ub=mat[ub] * sign[ub, None] if ub.size else None,

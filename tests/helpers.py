@@ -295,6 +295,25 @@ def bound_games(count=24):
                             lenient=True)
 
 
+def lp_pair_maximum(game, epsilon):
+    """fpt with no screen and no cut: the transformed LP of every
+    (attacked target, grid x) pair, best by (objective, -x, -star).
+    Returns (objective, star, x)."""
+    from auditgames import constraints as cx
+    from auditgames.fpt import _ProgramCache, full_objective, x_grid
+    from auditgames.lp import solve_lp
+    cache = _ProgramCache(game, cx.coverage_set(game))
+    best = None
+    for star in range(game.n_targets):
+        for x in x_grid(epsilon):
+            out = solve_lp(cache.build(star, x, "transformed"))
+            if out.status == "optimal":
+                key = (full_objective(game, star, out.solution[star], x),
+                       -x, -star)
+                best = key if best is None else max(best, key)
+    return best[0], -best[2], -best[1]
+
+
 def peel_from_scratch(m):
     """Birkhoff peel of a sub-stochastic matrix that runs Hopcroft-Karp on
     the whole padded support every round, in the same 2^-45 units as

@@ -25,6 +25,8 @@ from auditgames.fpt import _ProgramCache, full_objective
 from auditgames.lp import solve_lp
 from auditgames.model import game_from_dict, game_to_dict
 
+from helpers import bound_games
+
 
 def test_generate_groups():
     cfg = BenchConfig(100, 10, 2, seed=3)
@@ -168,6 +170,30 @@ def test_cli_rejects_bad_solve_options(tmp_path, capsys):
         assert run(["solve", "--in", str(game_path), "--method", "fptas",
                     "--out", str(tmp_path / "r.json")] + option) == 1, option
         assert "error:" in capsys.readouterr().err, option
+
+
+@pytest.mark.parametrize("epsilon", ["0", "0.75", "-0.1"])
+def test_cli_bench_rejects_epsilon_outside_the_range(tmp_path, capsys,
+                                                     epsilon):
+    assert run(["bench", "--targets", "4", "--resources", "2", "--group",
+                "1", "--epsilon", epsilon,
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: epsilon must be in (0, 0.5]\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("form", ["auto", "grid"])
+def test_cli_fpt_keeps_feasible_lenient_pairs(tmp_path, form):
+    # seed 7's star 5 is feasible at x = 0 and 0.05 only: a cut at its
+    # first infeasible x, or a screen by full coverage, finds only 0.5601
+    game_path, out = tmp_path / "g.json", tmp_path / "r.json"
+    game_path.write_text(json.dumps(game_to_dict(list(bound_games())[7])))
+    assert run(["solve", "--in", str(game_path), "--lenient", "--method",
+                "fpt", "--epsilon", "0.005", "--form", form,
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["objective"] == pytest.approx(
+        0.9219, abs=5e-5)
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -339,3 +365,15 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    src = str(Path(auditgames.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "g.json"
+    subprocess.run([sys.executable, "-m", "auditgames.cli", "generate",
+                    "--targets", "4", "--resources", "2", "--group", "1",
+                    "--out", str(out)], env=env, check=True)
+    assert game_from_dict(json.loads(out.read_text())).n_targets == 4

@@ -9,10 +9,7 @@ from auditgames.cli import counterexample_game
 from auditgames.errors import AllProgramsInfeasible, VerificationFailed
 from auditgames.fpt import (
     SolveConfig,
-    _ClosedFormPairs,
-    _LpPairs,
     _ProgramCache,
-    _sweep,
     compare_formulations,
     full_objective,
     solve_fpt,
@@ -22,7 +19,13 @@ from auditgames.fpt import (
 from auditgames.lp import LinearProgram, solve_lp
 from auditgames.model import compute_deltas, validate_game
 
-from helpers import dense_restriction_game, nested_game, rand_game
+from helpers import (
+    bound_games,
+    dense_restriction_game,
+    lp_pair_maximum,
+    nested_game,
+    rand_game,
+)
 
 
 def test_grid_endpoints():
@@ -155,13 +158,25 @@ def test_returned_solution_verifies():
         assert "guarantee_condition_met" in sol.details
 
 
-def test_screen_does_not_change_result():
-    for seed in range(4):
-        g = rand_game(4, 2, density=0.2, seed=7 + seed)
-        a = solve_fpt(g, SolveConfig(epsilon=0.125, screen=True))
-        b = solve_fpt(g, SolveConfig(epsilon=0.125, screen=False))
-        assert a.objective == pytest.approx(b.objective, abs=1e-12)
-        assert a.star == b.star and a.x == b.x
+def test_solve_matches_the_exhaustive_lp_maximum():
+    # lenient targets break a screen by full coverage and a cut at the
+    # first infeasible x; seed 16 has no auditable target, so its grid
+    # programs have no columns
+    for g in bound_games():
+        want = lp_pair_maximum(g, 0.1)
+        for form in ("auto", "grid"):
+            sol = solve_fpt(g, SolveConfig(epsilon=0.1, formulation=form))
+            assert sol.objective == pytest.approx(want[0], abs=1e-9)
+            assert (sol.star, sol.x) == (want[1], want[2])
+
+
+def test_grid_solves_games_without_auditable_targets():
+    for g in (rand_game(4, 1, density=1.0, seed=3), list(bound_games())[16]):
+        assert all(g.unauditable)
+        a = solve_fpt(g, SolveConfig(epsilon=0.05))
+        b = solve_fpt(g, SolveConfig(epsilon=0.05, formulation="grid"))
+        assert (a.objective, a.star, a.x) == (b.objective, b.star, b.x)
+        np.testing.assert_array_equal(a.p, b.p)
 
 
 def test_a1_enhancement_changes_objective():
@@ -209,26 +224,29 @@ def _oracle_games():
     games.append(validate_game(
         4, 2, rand_game(4, 2, seed=41).utilities,
         [(0, 1), (1, 1), (0, 3), (1, 3), (1, 0)], cost_a=0.01))
-    # lenient: x + delta <= 0 at x = 0 sends those pairs to the LP
+    # lenient: x + delta <= 0 at x = 0
     games.append(counterexample_game())
     return games
 
 
 def test_closed_form_matches_lp_oracle():
     grid = x_grid(0.05)
-    seen = {"unauditable": 0, "negative_coeff": 0, "fallback": 0,
+    seen = {"unauditable": 0, "negative_coeff": 0, "lenient": 0,
             "infeasible": 0}
     for g in _oracle_games():
         cache = _ProgramCache(g, cx.prune_implied(cx.constraint_find(g), g))
+        d = cache.deltas
         seen["unauditable"] += any(g.unauditable)
         for star in range(g.n_targets):
-            applies, feasible, p = cache.closed_form(star, grid)
+            feasible, p = cache.closed_form(star, grid)
             for i, x in enumerate(grid):
                 lp = cache.build(star, x, "transformed")
                 seen["negative_coeff"] += bool(lp.objective[star] < 0)
-                if not applies[i]:
-                    seen["fallback"] += 1
-                    continue
+                # s <= 0, or a free target held at zero coverage
+                seen["lenient"] += bool(
+                    x + d.delta[star] <= 0 or any(
+                        x + d.delta[j] <= 0 and not g.unauditable[j]
+                        for j in range(g.n_targets) if j != star))
                 out = solve_lp(lp)
                 assert feasible[i] == (out.status == "optimal"), (star, x)
                 if not feasible[i]:
@@ -240,21 +258,6 @@ def test_closed_form_matches_lp_oracle():
                 assert np.all(mat @ p[i] <= rhs + 1e-9), (star, x)
                 lo, hi = np.array(lp.bounds).T
                 assert np.all(p[i] >= lo - 1e-9) and np.all(p[i] <= hi + 1e-9)
-        # the same through the sweep with screening off: every pair,
-        # fallback pairs included, agrees with the LP sweep
-        cfg = SolveConfig(epsilon=0.05, screen=False)
-        closed_pairs = _ClosedFormPairs(cache, "transformed")
-        lp_pairs = _LpPairs(cache, "transformed")
-        closed = list(_sweep(g, cfg, grid, closed_pairs))
-        oracle = list(_sweep(g, cfg, grid, lp_pairs))
-        for (star, x, p), (_, _, q) in zip(closed, oracle):
-            assert (p is None) == (q is None), (star, x)
-            if p is not None:
-                assert full_objective(g, star, p[star], x) == pytest.approx(
-                    full_objective(g, star, q[star], x), abs=1e-9)
-        counts = closed_pairs.counts
-        assert counts["closed_form"] + counts["lp_fallback"] == len(closed)
-        assert counts["lp_infeasible"] == lp_pairs.counts["lp_infeasible"]
     assert min(seen.values()) > 0, seen
 
 

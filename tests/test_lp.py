@@ -213,3 +213,18 @@ def test_solver_failure_raises_breakdown(monkeypatch):
                                         message="numerical difficulties"))
     with pytest.raises(NumericalBreakdown, match="numerical difficulties"):
         solve_lp(lp([1.0], [], [(0.0, 1.0)]))
+
+
+def test_no_variables_decides_rows_at_zero(monkeypatch):
+    # HiGHS rejects an LP without columns, so none reaches it
+    monkeypatch.setattr(scipy.optimize, "linprog", None)
+    empty = np.zeros((3, 0))
+    rhs = np.array([0.0, -5e-10, 2.0])
+    out = solve_lp(lp([], (empty, ["<=", ">=", "<="], rhs), []))
+    assert out.status == "optimal" and out.solution.shape == (0,)
+    assert out.objective_value == 0.0 and out.is_vertex
+    for rels, rhs in ((["<="], [-1e-8]), ([">="], [1e-8]), (["="], [2e-9])):
+        out = solve_lp(lp([], (np.zeros((1, 0)), rels, np.array(rhs)), []))
+        assert out.status == "infeasible", rels
+    assert solve_lp(lp([], (np.zeros((1, 0)), ["="], np.array([5e-10])),
+                       [])).status == "optimal"
