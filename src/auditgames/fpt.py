@@ -19,6 +19,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -256,6 +257,22 @@ class _ProgramCache:
         p[:, star] = p_star
         return excess <= FEAS_TOL, p
 
+    def closed_form_pairs(self, star: int, grid: list):
+        """Solver for one target's transformed programs, all in closed
+        form at once: grid index -> coverage, or None."""
+        feasible, p = self.closed_form(star, grid)
+        return lambda i: p[i] if feasible[i] else None
+
+    def lp_pairs(self, star: int, grid: list, formulation: str):
+        """Solver for one target's programs in ``formulation``, one LP a
+        grid index on demand: grid index -> coverage, or None."""
+        def solve(i):
+            out = solve_lp(self.build(star, grid[i], formulation))
+            if out.status != "optimal":
+                return None
+            return self.coverage_from_solution(formulation, out.solution)
+        return solve
+
     def coverage_from_solution(self, formulation: str, solution: np.ndarray):
         if formulation == "transformed":
             return np.clip(solution, 0.0, 1.0)
@@ -308,40 +325,10 @@ def verify_solution(game: AuditGame, star: int, p, x,
     return residuals
 
 
-class _LpPairs:
-    """Answers each (star, x) program with one LP in ``formulation``."""
-
-    def __init__(self, cache: _ProgramCache, formulation: str):
-        self.cache = cache
-        self.formulation = formulation
-
-    def for_star(self, star: int, grid: list):
-        """Solver for one target: grid index -> coverage, or None."""
-        return lambda i: self.solve(star, grid[i])
-
-    def solve(self, star: int, x: float):
-        out = solve_lp(self.cache.build(star, x, self.formulation))
-        if out.status != "optimal":
-            return None
-        return self.cache.coverage_from_solution(self.formulation,
-                                                 out.solution)
-
-
-class _ClosedFormPairs:
-    """Answers transformed programs in closed form, one target over the
-    whole grid at once."""
-
-    def __init__(self, cache: _ProgramCache):
-        self.cache = cache
-
-    def for_star(self, star: int, grid: list):
-        feasible, p = self.cache.closed_form(star, grid)
-        return lambda i: p[i] if feasible[i] else None
-
-
-def _sweep(pairs, grid: list, counts: dict):
-    """Walk every (star, x) pair, each target from x = 1 downward, and
-    count them in ``counts``.
+def _sweep(cache: _ProgramCache, grid: list, for_star, counts: dict):
+    """Walk every (star, x) pair, each target from x = 1 downward;
+    ``for_star(star, grid)`` gives one target's solver, grid index ->
+    coverage or None, and ``counts`` gathers the pair counters.
 
     Yields (star, x, p), with p None for screened, infeasible and cut
     pairs.  When every delta_i >= 0, feasibility is monotone in x: for
@@ -350,10 +337,10 @@ def _sweep(pairs, grid: list, counts: dict):
     down-closed C, so a pair feasible at x stays feasible at x'.  There the
     first infeasible grid point settles all smaller ones.
     """
-    game = pairs.cache.game
-    monotone = bool(np.all(pairs.cache.deltas.delta >= 0))
+    game = cache.game
+    monotone = bool(np.all(cache.deltas.delta >= 0))
     for star in range(game.n_targets):
-        solve = pairs.for_star(star, grid)
+        solve = for_star(star, grid)
         screened = infeasibility_screen(game, star, grid)
         cut = False
         for i in reversed(range(len(grid))):
@@ -386,11 +373,11 @@ def solve_fpt(game: AuditGame, cfg: SolveConfig | None = None) -> CoverageSoluti
     formulation, cset, info = resolve_formulation(game, cfg)
     cache = _ProgramCache(game, cset)
     grid = x_grid(cfg.epsilon)
-    pairs = (_ClosedFormPairs(cache) if formulation == "transformed"
-             else _LpPairs(cache, formulation))
+    for_star = (cache.closed_form_pairs if formulation == "transformed"
+                else partial(cache.lp_pairs, formulation=formulation))
     counts = dict.fromkeys(("solved", "screened", "lp_infeasible"), 0)
     best = None
-    for star, x, p in _sweep(pairs, grid, counts):
+    for star, x, p in _sweep(cache, grid, for_star, counts):
         if p is None:
             continue
         key = (full_objective(game, star, float(p[star]), x), -x, -star)
@@ -425,12 +412,12 @@ def per_pair_objectives(game: AuditGame, cfg: SolveConfig, formulation: str,
     Used by the formulation comparison, so both formulations run as LPs;
     runs strictly serially.
     """
-    pairs = _LpPairs(_ProgramCache(game, cset), formulation)
-    return {
-        (star, x): None if p is None
-        else full_objective(game, star, float(p[star]), x)
-        for star, x, p in _sweep(pairs, x_grid(cfg.epsilon), Counter())
-    }
+    cache = _ProgramCache(game, cset)
+    pairs = _sweep(cache, x_grid(cfg.epsilon),
+                   partial(cache.lp_pairs, formulation=formulation), Counter())
+    return {(star, x): None if p is None
+            else full_objective(game, star, float(p[star]), x)
+            for star, x, p in pairs}
 
 
 def compare_formulations(game: AuditGame, cfg: SolveConfig | None = None,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import takewhile
 from operator import attrgetter
 
 import numpy as np
@@ -97,6 +98,7 @@ class SubproblemEQ:
     cost_a: float
     cost_a1: float
     offsets: np.ndarray  # attacker offset of each target vs star
+    closed_below: float = 0.0  # x below which the strict curve is closed
 
 
 @dataclass
@@ -298,6 +300,10 @@ def build_subproblem(game: AuditGame, star: int, j: int,
         if b is not None:
             boundaries.append(b)
 
+    # the targets on the band's strict curve: order[j - 1] and its ties
+    on_curve = takewhile(
+        lambda t: d.delta_pair[t, star] == d.delta_pair[order[j - 1], star],
+        reversed(order[:j]))
     return SubproblemEQ(
         star=star, j=j, order=order, active=tuple(order[j:]),
         zeroed=tuple(order[:j]), boundaries=tuple(boundaries),
@@ -307,6 +313,8 @@ def build_subproblem(game: AuditGame, star: int, j: int,
         cost_a=game.cost_a,
         cost_a1=game.cost_a1,
         offsets=d.delta_pair[:, star].copy(),
+        closed_below=float(max((-d.delta[t] for t in on_curve
+                                if not game.unauditable[t]), default=0.0)),
     )
 
 
@@ -316,9 +324,12 @@ def _objective(eq: SubproblemEQ, game_const: float, p: float, x: float) -> float
 
 def _in_band(eq: SubproblemEQ, p: float, x: float) -> bool:
     """Whether (p, x) is in the band and off its strict lower curve, the
-    strict side tested at 1e-9."""
+    strict side tested at 1e-9.  Below ``closed_below`` a target on that
+    curve has x + D < 0, so no band with it substituted holds the curve:
+    there this band does, at the target's zero coverage."""
     v = p * (x + eq.delta_star)
-    if eq.j >= 1 and v + eq.offsets[eq.order[eq.j - 1]] >= -ON_CURVE_TOL:
+    if (eq.j >= 1 and x >= eq.closed_below
+            and v + eq.offsets[eq.order[eq.j - 1]] >= -ON_CURVE_TOL):
         return False
     return not (eq.j <= len(eq.order) - 1
                 and v + eq.offsets[eq.order[eq.j]] < -FEAS_TOL)
@@ -849,7 +860,7 @@ def band_bound(ud_u: float, gain: float, delta_star: float,
     Costs are nonnegative, so the objective is at most
     ``ud_u + max(0, gain) p``.  ``off`` is the offset of band j's strict
     lower curve (None for band 0); with D_star > 0, :func:`_in_band`
-    keeps ``p (x + D_star) < -off``, so p < -off / D_star."""
+    keeps ``p (x + D_star) <= -off``, so p <= -off / D_star."""
     reach = 1.0
     if off is not None and delta_star > 0:
         reach = min(1.0, -off / delta_star)

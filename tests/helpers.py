@@ -295,6 +295,19 @@ def bound_games(count=24):
                             lenient=True)
 
 
+def lenient_game(seed):
+    """A random game with ua_audited and ua_unaudited swapped on targets
+    0, 3, 6, ..., so those are lenient, and a1 > 0 on odd seeds."""
+    g = rand_game(4 + seed % 4, 1 + seed % 3, density=0.1 * (seed % 4),
+                  seed=9000 + seed)
+    rows = [list(u) for u in g.utilities]
+    for row in rows[::3]:
+        row[2], row[3] = row[3], row[2]
+    return validate_game(g.n_targets, g.n_resources, rows, g.restrictions,
+                         cost_a=0.01, cost_a1=0.125 * (seed % 2),
+                         lenient=True)
+
+
 def lp_pair_maximum(game, epsilon):
     """fpt with no screen and no cut: the transformed LP of every
     (attacked target, grid x) pair, best by (objective, -x, -star).

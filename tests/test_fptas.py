@@ -31,6 +31,7 @@ from helpers import (
     dense_restriction_game,
     fptas_every_band,
     grouped_game,
+    lenient_game,
     rand_game,
     single_resource_grid_oracle,
 )
@@ -659,3 +660,13 @@ def test_bound_solves_bands_that_tie_the_best():
     assert (sol.objective, sol.x, sol.star) == (0.875, 0.0, 1)
     assert (sol.objective, sol.x, sol.star) == (want.objective, want.x,
                                                 want.star)
+
+
+def test_fptas_reaches_lenient_optima_on_band_curves():
+    # fpt's optimum puts a target with x + D < 0 on its band curve at zero
+    # coverage, which no band that substitutes that target can hold
+    cfg = SolveConfig(epsilon=0.05)
+    for seed in (9, 22, 34, 40, 65, 85, 91, 96, 110):
+        g = lenient_game(seed)
+        want = solve_fpt(g, cfg).objective
+        assert solve_fptas(g, cfg).objective >= want - 1e-5, seed
